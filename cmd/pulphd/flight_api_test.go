@@ -28,8 +28,7 @@ type flightSummaryDoc struct {
 }
 
 // waitFlightCapture polls the flight endpoint until a capture whose
-// trigger contains want appears (the dispatcher side of a completion
-// can land just after the HTTP response).
+// trigger contains want appears.
 func waitFlightCapture(t *testing.T, srv interface {
 	Client() *http.Client
 }, url, want string) flightSummaryDoc {
@@ -59,15 +58,15 @@ func waitFlightCapture(t *testing.T, srv interface {
 }
 
 // TestFlightCapturesTimeout forces a 504 (1 ns predict deadline) and
-// asserts the request's complete timeline — root and queue residency —
-// lands in /debug/flight tagged with the model name.
+// asserts the request's complete timeline — root and decode — lands
+// in /debug/flight tagged with the model name.
 func TestFlightCapturesTimeout(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	api.timelines = obs.NewTimelines(8, 64)
 	api.flight = flight.NewRing(16, 64)
 	api.timeout = time.Nanosecond
 
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", code, body)
@@ -94,7 +93,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 	}
 
 	// The full dump renders the same capture as a complete Chrome-trace
-	// timeline: request root, queue residency, model@generation label.
+	// timeline: request root, decode, model@generation label.
 	resp, err := srv.Client().Get(srv.URL + "/debug/flight")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +116,7 @@ func TestFlightCapturesTimeout(t *testing.T) {
 			label, _ = ev.Args["name"].(string)
 		}
 	}
-	if !names["request"] || !names["queue.wait"] {
+	if !names["request"] || !names["decode"] {
 		t.Fatalf("trace misses timeline spans: %v", names)
 	}
 	if !strings.Contains(label, "timeout") || !strings.Contains(label, "default@") {
@@ -140,7 +139,7 @@ func TestFlightCapturesDegraded(t *testing.T) {
 	api.timelines = obs.NewTimelines(8, 64)
 	api.flight = flight.NewRing(16, 64)
 
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	code, body := doJSON(t, srv, "POST", "/models/default/predict", windowJSON(t, cfg, 16), nil)
 	if code != http.StatusOK {
 		t.Fatalf("degraded predict status %d (%s)", code, body)
@@ -171,7 +170,7 @@ func TestFlightCapturesDegraded(t *testing.T) {
 // TestFlightDisabled404 pins the disabled surface: without a ring the
 // endpoint is an honest 404, matching /debug/spans.
 func TestFlightDisabled404(t *testing.T) {
-	_, srv := newTestAPI(t, 8, 4)
+	_, srv, _ := newTestAPI(t)
 	code, body := get(t, srv, "/debug/flight")
 	if code != http.StatusNotFound || !strings.Contains(body, "flight recorder disabled") {
 		t.Fatalf("disabled flight: %d %s", code, body)
@@ -183,16 +182,16 @@ func TestFlightDisabled404(t *testing.T) {
 func TestSpansModelFilter(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
 	api.timelines = obs.NewTimelines(8, 64)
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 	if code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2)); code != http.StatusOK {
 		t.Fatalf("predict: %d %s", code, body)
 	}
 	if code, body := get(t, srv, "/debug/spans?model=default"); code != http.StatusOK ||
-		!strings.Contains(body, "queue.wait") || !strings.Contains(body, "· default") {
+		!strings.Contains(body, "decode") || !strings.Contains(body, "· default") {
 		t.Fatalf("spans for default: %d %s", code, body)
 	}
 	if code, body := get(t, srv, "/debug/spans?model=ghost"); code != http.StatusOK ||
-		strings.Contains(body, "queue.wait") {
+		strings.Contains(body, "decode") {
 		t.Fatalf("spans for ghost not empty: %d %s", code, body)
 	}
 }
@@ -201,7 +200,7 @@ func TestSpansModelFilter(t *testing.T) {
 // /models/{name}/slo plus its error surface.
 func TestModelSLOEndpoint(t *testing.T) {
 	api, srv, _ := newRegistryTestAPI(t, t.TempDir())
-	cfg := api.sv.Config()
+	cfg := testServingConfig()
 
 	// Disabled engine: honest 404.
 	if code, body := get(t, srv, "/models/default/slo"); code != http.StatusNotFound ||
@@ -264,16 +263,20 @@ func TestModelSLOEndpoint(t *testing.T) {
 func TestTailObservabilityAllocs(t *testing.T) {
 	api := &apiServer{
 		defaultModel: "default",
+		timelines:    obs.NewTimelines(4, 16),
 		flight:       flight.NewRing(8, 16),
 		slo: sloeng.New(sloeng.Config{
 			Default: sloeng.Objective{Latency: time.Hour, LatencyTarget: 0.99, ErrorBudget: 0.01},
 		}),
 	}
 	api.slo.Record("default", time.Millisecond, false) // build the tracker
-	p := &pendingPredict{enqueued: time.Now()}
+	start := time.Now()
+	id := uint64(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		api.capture(p)
-		api.recordSLO(p.model, p.enqueued, false)
+		id++
+		rec := api.timelines.Acquire(id)
+		api.finish(rec, rec.Start("request", obs.NoSpan), "default", 1, 0, start)
+		api.recordSLO("default", start, false)
 	}); allocs != 0 {
 		t.Fatalf("healthy-path observability allocates %v/op", allocs)
 	}

@@ -1,45 +1,34 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
+	"pulphd/internal/obs/flight"
 )
 
-// TestPredictTimeout pins the per-request deadline: with the
-// dispatcher stalled the handler answers 504 and counts the timeout;
-// once the dispatcher runs it skips the expired request instead of
-// classifying into the void, and fresh requests still get 200.
+// TestPredictTimeout pins the per-request deadline: a 1 ns deadline
+// has always expired by the time the decoded request reaches its
+// first predict attempt, so the handler answers 504 and counts the
+// timeout; with the deadline lifted the same request gets 200.
 func TestPredictTimeout(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
-	}
+	sv := trainedServing(t, 2)
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 4, 4, m) // dispatcher not started yet
-	api.timeout = 30 * time.Millisecond
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	api := newEphemeralAPI(t, sv, 4, m)
+	api.timeout = time.Nanosecond
+	srv := serveAPI(t, api)
 
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("stalled dispatcher: status %d, want 504 (%s)", code, body)
+		t.Fatalf("expired deadline: status %d, want 504 (%s)", code, body)
 	}
 	if !strings.Contains(body, "deadline") {
 		t.Fatalf("504 body does not name the deadline: %s", body)
@@ -48,10 +37,7 @@ func TestPredictTimeout(t *testing.T) {
 		t.Fatalf("timeouts counter %d, want 1", m.Timeouts.Value())
 	}
 
-	// Start the dispatcher: the expired request is still queued with a
-	// dead context; the dispatcher must skip it and answer new work.
-	api.start()
-	t.Cleanup(api.stop)
+	api.timeout = 0
 	code, body = postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusOK {
 		t.Fatalf("after timeout: status %d, want 200 (%s)", code, body)
@@ -61,47 +47,50 @@ func TestPredictTimeout(t *testing.T) {
 	}
 }
 
-// TestPredictPanicRecovery pins the bounded-retry contract: a predict
-// attempt that panics (here: a nil dispatcher session) is recovered,
-// the pool and session are replaced, and the retry succeeds — the
-// caller sees a normal answer, the counters see the incident.
-func TestPredictPanicRecovery(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
-		t.Fatal(err)
-	}
-	m := &obs.ServingMetrics{}
-	pool := parallel.NewPool(2)
-	api := newAPIServer(sv, pool, 4, 4, m)
-	t.Cleanup(func() { api.pool.Close() })
+// logHook is a slog handler that runs fn on every record, letting a
+// test act at the moment the server logs an event.
+type logHook struct {
+	slog.Handler
+	fn func(slog.Record)
+}
 
-	// api.ses is nil (the dispatcher was never started): the first
-	// attempt panics on the nil session, recovery installs a real one.
-	res := api.predictOne(&pendingPredict{window: testWindow(sv.Config(), 2)})
-	if res.err != nil {
-		t.Fatalf("predict after recovery failed: %v", res.err)
+func (h logHook) Handle(_ context.Context, r slog.Record) error {
+	h.fn(r)
+	return nil
+}
+
+// TestPredictPanicRecovery pins the bounded-retry contract: a predict
+// attempt that panics is recovered and retried, and the retry succeeds
+// — the caller sees a normal answer with the retry trigger raised, the
+// counters see the incident. The window's short row panics inside
+// encode; the recovery's log line repairs it, so exactly one retry
+// runs.
+func TestPredictPanicRecovery(t *testing.T) {
+	sv := trainedServing(t, 2)
+	m := &obs.ServingMetrics{}
+	api := newEphemeralAPI(t, sv, 4, m)
+	window := [][]float64{{2}}
+	api.log = slog.New(logHook{
+		Handler: slog.NewTextHandler(io.Discard, nil),
+		fn: func(r slog.Record) {
+			if r.Message == "predict panic recovered" {
+				window[0] = testWindow(sv.Config(), 2)[0]
+			}
+		},
+	})
+
+	res, err := api.predict(context.Background(), sv, window, time.Now())
+	if err != nil {
+		t.Fatalf("predict after recovery failed: %v", err)
 	}
 	if res.label != "rest" {
 		t.Fatalf("label %q, want %q", res.label, "rest")
 	}
+	if res.trig&flight.TrigRetry == 0 {
+		t.Fatalf("retried predict lacks the retry trigger: %v", res.trig)
+	}
 	if m.PanicsRecovered.Value() != 1 || m.Retries.Value() != 1 {
 		t.Fatalf("panics=%d retries=%d, want 1/1", m.PanicsRecovered.Value(), m.Retries.Value())
-	}
-	if api.ses == nil {
-		t.Fatal("session not replaced after recovered panic")
-	}
-	if api.pool == pool {
-		t.Fatal("pool not replaced after recovered panic")
-	}
-	if api.pool.Workers() != 2 {
-		t.Fatalf("replacement pool has %d workers, want 2", api.pool.Workers())
 	}
 }
 
@@ -110,28 +99,21 @@ func TestPredictPanicRecovery(t *testing.T) {
 // handler), the process survives, and the counters account for every
 // attempt.
 func TestPredictRetriesExhausted(t *testing.T) {
-	sv, err := hdc.NewServing(testServingConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Retrain(nil, []hdc.Sample{{Label: "rest", Window: testWindow(sv.Config(), 2)}}); err != nil {
-		t.Fatal(err)
-	}
+	sv := trainedServing(t, 2)
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 4, 4, m)
-	api.ses = sv.NewSession()
+	api := newEphemeralAPI(t, sv, 4, m)
 	api.retries = 1
 	api.retryBackoff = 0
 
 	// A malformed window (short rows) panics inside encode on every
 	// attempt; validation normally rejects it at the handler, so this
 	// simulates a poisoned model rather than bad input.
-	res := api.predictOne(&pendingPredict{window: [][]float64{{1}}})
-	if res.err == nil {
+	_, err := api.predict(context.Background(), sv, [][]float64{{1}}, time.Now())
+	if err == nil {
 		t.Fatal("poisoned predict returned no error")
 	}
-	if !errors.Is(res.err, errPredictPanic) {
-		t.Fatalf("error %v does not wrap errPredictPanic", res.err)
+	if !errors.Is(err, errPredictPanic) {
+		t.Fatalf("error %v does not wrap errPredictPanic", err)
 	}
 	if m.PanicsRecovered.Value() != 2 || m.Retries.Value() != 1 {
 		t.Fatalf("panics=%d retries=%d, want 2/1", m.PanicsRecovered.Value(), m.Retries.Value())
@@ -153,9 +135,8 @@ func TestPredictDegradedThroughHTTP(t *testing.T) {
 	})
 	t.Cleanup(func() { hdc.SetShardChaos(nil) })
 
-	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
-	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 16))
+	_, srv, sv := newTestAPI(t)
+	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 16))
 	if code != http.StatusOK {
 		t.Fatalf("degraded predict: status %d, want 200 (%s)", code, body)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"pulphd/internal/load"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // TestHDLoadAgainstRealServer drives the real apiServer through the
@@ -21,16 +20,9 @@ import (
 // leaked).
 func TestHDLoadAgainstRealServer(t *testing.T) {
 	sv := trainedServing(t, 4)
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, 64, 8, nil)
+	api := newEphemeralAPI(t, sv, 64, nil)
 	api.timelines = obs.NewTimelines(4, 64)
-	api.start()
-	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveAPI(t, api)
 
 	cfg := sv.Config()
 	predict, err := json.Marshal(predictRequest{Window: testWindow(cfg, 2)})
@@ -62,8 +54,8 @@ func TestHDLoadAgainstRealServer(t *testing.T) {
 	if res.Sent == 0 {
 		t.Fatal("harness sent nothing against a live server")
 	}
-	// Queue depth 64 under concurrency 8 with no deadline pressure:
-	// everything should succeed.
+	// An in-flight bound of 64 under concurrency 8 with no deadline
+	// pressure: everything should succeed.
 	if res.OK != res.Sent {
 		t.Fatalf("sent=%d ok=%d (429=%d 504=%d 500=%d other=%d)",
 			res.Sent, res.OK, res.Shed429, res.Timeout504, res.Err500, res.OtherErr)

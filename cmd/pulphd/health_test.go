@@ -17,26 +17,20 @@ import (
 
 // newHealthAPI builds an untrained serving model behind a full mux
 // (health endpoints included) with request tracing on. configure runs
-// before the dispatcher and server start, so tests can install a
-// logger or swap the timeline ring without racing live handlers.
+// before the server starts, so tests can install a logger or swap the
+// timeline ring without racing live handlers.
 func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httptest.Server) {
 	t.Helper()
 	sv, err := hdc.NewServing(testServingConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newAPIServer(sv, nil, 8, 4, nil)
+	api := newEphemeralAPI(t, sv, 8, nil)
 	api.timelines = obs.NewTimelines(8, 64)
 	if configure != nil {
 		configure(api)
 	}
-	api.start()
-	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return api, srv
+	return api, serveAPI(t, api)
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -66,7 +60,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("readyz on empty model: %d (%s)", code, body)
 	}
 
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
@@ -88,7 +82,7 @@ func TestHealthEndpoints(t *testing.T) {
 	if code, _ := get(t, srv, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %d", code)
 	}
-	if code, _ := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != http.StatusServiceUnavailable {
+	if code, _ := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != http.StatusServiceUnavailable {
 		t.Fatalf("predict while draining: %d", code)
 	}
 	if code, _ := postJSON(t, srv, "/learn", string(body)); code != http.StatusServiceUnavailable {
@@ -104,11 +98,7 @@ func TestReadyzSnapshotModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls.Train("rest", testWindow(cls.Config(), 2))
-	api := newAPIServer(cls.Serving(2), nil, 4, 4, nil)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveAPI(t, newEphemeralAPI(t, cls.Serving(2), 4, nil))
 	if code, body := get(t, srv, "/readyz"); code != 200 {
 		t.Fatalf("readyz on snapshot model: %d (%s)", code, body)
 	}
@@ -117,12 +107,12 @@ func TestReadyzSnapshotModel(t *testing.T) {
 // TestDebugSpansEndpoint drives one traced predict and one learn, then
 // checks /debug/spans returns a Chrome trace with the request tree.
 func TestDebugSpansEndpoint(t *testing.T) {
-	api, srv := newHealthAPI(t, nil)
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	_, srv := newHealthAPI(t, nil)
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
-	if code, res := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != 200 {
+	if code, res := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != 200 {
 		t.Fatalf("predict: %d (%s)", code, res)
 	}
 	code, res := get(t, srv, "/debug/spans")
@@ -141,7 +131,7 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"request", "queue.wait", "batch", "predict", "encode", "am.search", "learn.encode", "learn.publish"} {
+	for _, want := range []string{"request", "decode", "predict", "encode", "am.search", "learn.encode", "learn.publish"} {
 		if !names[want] {
 			t.Errorf("/debug/spans lacks a %q span (have %v)", want, names)
 		}
@@ -158,15 +148,15 @@ func TestDebugSpansEndpoint(t *testing.T) {
 // debug level produces a request-id-tagged structured log line.
 func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
-	api, srv := newHealthAPI(t, func(a *apiServer) {
+	_, srv := newHealthAPI(t, func(a *apiServer) {
 		a.log = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	})
 
-	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(api.sv.Config(), 2)})
+	body, _ := json.Marshal(learnRequest{Label: "rest", Window: testWindow(testServingConfig(), 2)})
 	if code, res := postJSON(t, srv, "/learn", string(body)); code != 200 {
 		t.Fatalf("learn: %d (%s)", code, res)
 	}
-	if code, res := postJSON(t, srv, "/predict", windowJSON(t, api.sv.Config(), 2)); code != 200 {
+	if code, res := postJSON(t, srv, "/predict", windowJSON(t, testServingConfig(), 2)); code != 200 {
 		t.Fatalf("predict: %d (%s)", code, res)
 	}
 	var sawPredict bool

@@ -11,11 +11,10 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 )
 
 // This file pins the serving-path bugs the load harness exposed:
-// the 429 shed path leaking span recorders, the per-batch generation
+// the 429 shed path leaking span recorders, a stale generation
 // snapshot misreporting which model a predict scanned, the retry
 // backoff overflowing into a negative sleep, and timeout storms
 // churning recorders instead of recycling them.
@@ -38,19 +37,16 @@ func trainedServing(t *testing.T, shards int) *hdc.Serving {
 }
 
 // TestShedReleasesRecorder pins the 429 path's recorder hygiene: a
-// shed request must end the request/queue.wait spans it opened and
-// file its recorder back into the timeline ring. Pre-fix, the handler
-// returned without either, so every shed leaked a recorder and the
-// ring stayed empty exactly when load (and shedding) was highest.
+// shed request must end the request/decode spans it opened and file
+// its recorder back into the timeline ring. Without that, every shed
+// leaks a recorder and the ring stays empty exactly when load (and
+// shedding) is highest.
 func TestShedReleasesRecorder(t *testing.T) {
 	sv := trainedServing(t, 1)
-	api := newAPIServer(sv, nil, 1, 1, nil) // dispatcher never started
+	api := newEphemeralAPI(t, sv, 1, nil)
 	api.timelines = obs.NewTimelines(2, 16)
-	api.queue <- &pendingPredict{} // fill the queue: everything sheds
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	api.inFlight.Store(1) // one predict already running: everything sheds
+	srv := serveAPI(t, api)
 
 	for i := 0; i < 4; i++ {
 		code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
@@ -65,11 +61,11 @@ func TestShedReleasesRecorder(t *testing.T) {
 		t.Fatalf("timeline ring holds %d requests after 4 sheds, want 2 (recorders leaked)", got)
 	}
 	// The filed timelines must be complete span trees: request and
-	// queue.wait both present and ended.
+	// decode both present and ended.
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))
 	spans := w.Body.String()
-	for _, want := range []string{`"request"`, `"queue.wait"`} {
+	for _, want := range []string{`"request"`, `"decode"`} {
 		if !json.Valid(w.Body.Bytes()) || !strings.Contains(spans, want) {
 			t.Fatalf("shed timeline export lacks %s: %s", want, spans)
 		}
@@ -78,53 +74,47 @@ func TestShedReleasesRecorder(t *testing.T) {
 
 // TestPredictReportsScannedGeneration pins the generation a predict
 // response carries to the generation its atomic load actually scanned.
-// The dispatcher used to snapshot Serving.Generation() once per batch;
-// a /learn publishing mid-batch then made later requests in the batch
-// report a generation older than the model that classified them. The
-// chaos hook interleaves deterministically: it fires during the first
-// request's shard fan-out and publishes a new generation, so the
-// second request in the same batch scans (and must report) the new id.
+// A generation read before the predict's own load goes stale when a
+// /learn publishes in between. The chaos hook interleaves
+// deterministically: it fires during the first request's serial shard
+// loop and publishes a new generation, so that request must report the
+// old id and the next request the new one.
 func TestPredictReportsScannedGeneration(t *testing.T) {
-	sv := trainedServing(t, 2) // 2 classes → 2 shards → fan-out runs
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, 8, 8, nil)
+	sv := trainedServing(t, 2) // 2 classes → 2 shards → the shard loop runs
+	srv := serveAPI(t, newEphemeralAPI(t, sv, 8, nil))
 
 	genBefore := sv.Generation()
 	var once sync.Once
 	hdc.SetShardChaos(func(int) {
 		once.Do(func() {
 			if err := sv.Learn("point", testWindow(sv.Config(), 9)); err != nil {
-				t.Errorf("mid-batch learn: %v", err)
+				t.Errorf("mid-predict learn: %v", err)
 			}
 		})
 	})
 	t.Cleanup(func() { hdc.SetShardChaos(nil) })
 
-	// Queue both requests before the dispatcher starts so they form
-	// one batch, processed in order.
-	p1 := &pendingPredict{window: testWindow(sv.Config(), 2), done: make(chan predictResult, 1)}
-	p2 := &pendingPredict{window: testWindow(sv.Config(), 16), done: make(chan predictResult, 1)}
-	api.queue <- p1
-	api.queue <- p2
-	api.start()
-	t.Cleanup(api.stop)
-
-	r1, r2 := <-p1.done, <-p2.done
-	if r1.err != nil || r2.err != nil {
-		t.Fatalf("batch predicts failed: %v / %v", r1.err, r2.err)
+	predictGen := func(level float64) uint64 {
+		t.Helper()
+		code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), level))
+		var res predictResponse
+		if err := json.Unmarshal([]byte(body), &res); code != http.StatusOK || err != nil {
+			t.Fatalf("predict: %d %s", code, body)
+		}
+		return res.Generation
 	}
+	r1 := predictGen(2)
 	genAfter := sv.Generation()
 	if genAfter != genBefore+1 {
 		t.Fatalf("learn did not publish: generation %d → %d", genBefore, genAfter)
 	}
 	// Request 1 loaded the old generation before the learn landed.
-	if r1.generation != genBefore {
-		t.Fatalf("first request reports generation %d, want %d", r1.generation, genBefore)
+	if r1 != genBefore {
+		t.Fatalf("first request reports generation %d, want the scanned %d", r1, genBefore)
 	}
-	// Request 2 scanned the newly published model and must say so.
-	if r2.generation != genAfter {
-		t.Fatalf("second request scanned generation %d but reports %d", genAfter, r2.generation)
+	// Request 2 scans the newly published model and must say so.
+	if r2 := predictGen(16); r2 != genAfter {
+		t.Fatalf("second request scanned generation %d but reports %d", genAfter, r2)
 	}
 }
 
@@ -133,8 +123,7 @@ func TestPredictReportsScannedGeneration(t *testing.T) {
 // can never shift time.Duration negative (a negative Sleep returns
 // immediately — a hot retry loop exactly when the model is panicking).
 func TestRetryBackoffSaturates(t *testing.T) {
-	api := newAPIServer(nil, nil, 1, 1, nil)
-	api.retryBackoff = 2 * time.Millisecond
+	api := &apiServer{retryBackoff: 2 * time.Millisecond}
 	for _, tc := range []struct {
 		attempt int
 		want    time.Duration
@@ -167,69 +156,27 @@ func TestRetryBackoffSaturates(t *testing.T) {
 	}
 }
 
-// TestCompleteReleasesOnce pins the recorder-ownership handshake: of
-// the two sides (handler, dispatcher) exactly the second completion
-// releases the recorder — never both, never neither.
-func TestCompleteReleasesOnce(t *testing.T) {
-	api := newAPIServer(nil, nil, 1, 1, nil)
-	api.timelines = obs.NewTimelines(4, 8)
-	rec := api.timelines.Acquire(1)
-	p := &pendingPredict{rec: rec, root: rec.Start("request", obs.NoSpan)}
-	api.complete(p)
-	if got := api.timelines.Requests(); got != 0 {
-		t.Fatalf("first completion released the recorder (ring holds %d)", got)
-	}
-	api.complete(p)
-	if got := api.timelines.Requests(); got != 1 {
-		t.Fatalf("second completion did not release exactly once (ring holds %d)", got)
-	}
-}
-
 // TestTimeoutStormRecorderHygiene pins that a sustained deadline storm
-// — every request abandoned by its handler at a 1 ns timeout — leaves
-// the timeline ring healthy: the dispatcher's completion recycles each
-// abandoned recorder (no allocate-per-request churn, ring fills to its
-// keep bound) and the span export stays a valid trace. Runs under
-// -race in CI, so the handler/dispatcher recorder handoff is also
-// exercised for data races.
+// — every request expired at a 1 ns timeout — leaves the timeline ring
+// healthy: each 504 closes and recycles its recorder (no
+// allocate-per-request churn, ring fills to its keep bound) and the
+// span export stays a valid trace.
 func TestTimeoutStormRecorderHygiene(t *testing.T) {
 	sv := trainedServing(t, 1)
-	api := newAPIServer(sv, nil, 64, 8, nil)
+	api := newEphemeralAPI(t, sv, 64, nil)
 	api.timeout = time.Nanosecond
 	api.timelines = obs.NewTimelines(4, 64)
-	api.start()
-	t.Cleanup(api.stop)
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveAPI(t, api)
 
 	const storm = 30
-	got504 := 0
 	for i := 0; i < storm; i++ {
-		code, _ := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
-		switch code {
-		case http.StatusGatewayTimeout:
-			got504++
-		case http.StatusOK:
-			// The dispatcher occasionally wins the race against a 1 ns
-			// timer; both outcomes must keep the ring healthy.
-		default:
-			t.Fatalf("storm request %d: status %d, want 504 or 200", i, code)
+		if code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2)); code != http.StatusGatewayTimeout {
+			t.Fatalf("storm request %d: status %d, want 504 (%s)", i, code, body)
 		}
 	}
-	if got504 == 0 {
-		t.Fatal("storm produced no 504s; timeout path not exercised")
-	}
-	// Every storm request is eventually completed by both sides, so
-	// all recorders are released: the ring must fill to keep=4.
-	deadline := time.Now().Add(5 * time.Second)
-	for api.timelines.Requests() != 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeline ring holds %d requests, want 4 (abandoned recorders not recycled)",
-				api.timelines.Requests())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Every storm request released its recorder: the ring holds keep=4.
+	if got := api.timelines.Requests(); got != 4 {
+		t.Fatalf("timeline ring holds %d requests, want 4 (expired recorders not recycled)", got)
 	}
 	w := httptest.NewRecorder()
 	api.handleSpans(w, httptest.NewRequest(http.MethodGet, "/debug/spans", nil))

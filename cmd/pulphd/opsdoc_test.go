@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -13,10 +14,13 @@ import (
 	"pulphd/internal/replica"
 )
 
-// TestOperationsDocCoverage enforces the operator's handbook: every
-// serve flag and every exported pulphd_* metric family must appear in
-// docs/OPERATIONS.md. A flag or metric added without documentation
-// fails here, so the handbook cannot silently rot.
+// TestOperationsDocCoverage enforces the operator's handbook in both
+// directions: every serve flag and every exported pulphd_* metric
+// family must appear in docs/OPERATIONS.md, and every flag row of its
+// §2.1 table and every backticked pulphd_* family it names must exist.
+// A flag or metric added without documentation, or removed without
+// leaving the handbook, fails here, so the handbook cannot silently
+// rot.
 func TestOperationsDocCoverage(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -36,6 +40,16 @@ func TestOperationsDocCoverage(t *testing.T) {
 	})
 	if len(missing) > 0 {
 		t.Errorf("serve flags undocumented in docs/OPERATIONS.md: %v", missing)
+	}
+	serveTable, _, _ := strings.Cut(doc[strings.Index(doc, "### 2.1 `pulphd serve`"):], "\n### 2.2")
+	var stale []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)`").FindAllStringSubmatch(serveTable, -1) {
+		if fs.Lookup(m[1]) == nil {
+			stale = append(stale, "-"+m[1])
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/OPERATIONS.md §2.1 documents flags `pulphd serve` does not have: %v", stale)
 	}
 
 	// Every metric family any role can export: host + runtime + SLO
@@ -66,13 +80,25 @@ func TestOperationsDocCoverage(t *testing.T) {
 	front.RegisterMetrics(h.Registry)
 
 	missing = missing[:0]
+	registered := map[string]bool{}
 	for _, name := range h.Registry.Names() {
+		registered[name] = true
 		if !strings.Contains(doc, "`"+name+"`") {
 			missing = append(missing, name)
 		}
 	}
 	if len(missing) > 0 {
 		t.Errorf("metric families undocumented in docs/OPERATIONS.md (%d): %v", len(missing), missing)
+	}
+	// Wildcards such as `pulphd_serving_*` hold a '*' and do not match.
+	stale = stale[:0]
+	for _, m := range regexp.MustCompile("`(pulphd_[a-z0-9_]+)`").FindAllStringSubmatch(doc, -1) {
+		if !registered[m[1]] {
+			stale = append(stale, m[1])
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/OPERATIONS.md names metric families no role registers: %v", stale)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pulphd/internal/hdc"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 )
 
@@ -40,14 +39,10 @@ func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *httptest.Server,
 			t.Fatal(err)
 		}
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api, err := newRegistryAPIServer(reg, "default", testServingConfig(), pool, 8, 4, nil)
+	api, err := newAPIServer(reg, "default", testServingConfig(), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api.start()
-	t.Cleanup(api.stop)
 	mux := http.NewServeMux()
 	api.register(mux)
 	srv := httptest.NewServer(mux)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 	"pulphd/internal/replica"
 )
@@ -37,15 +36,11 @@ func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
 			t.Fatal(err)
 		}
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api, err := newRegistryAPIServer(reg, "default", testServingConfig(), pool, 8, 4, nil)
+	api, err := newAPIServer(reg, "default", testServingConfig(), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	api.readOnly = readOnly
-	api.start()
-	t.Cleanup(api.stop)
 	mux := http.NewServeMux()
 	api.register(mux)
 	replica.NewHandler(reg).Register(mux)

@@ -152,7 +152,7 @@ type serveFlags struct {
 	addr, logLevel, logFormat, imBackend, stateDir, defaultModel *string
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
-	workers, shards, queueDepth, maxBatch                        *int
+	workers, shards, queueDepth                                  *int
 	traceRequests, flightKeep, predictRetries, chaosShard        *int
 	snapshotEvery                                                *int
 	seed, residentBudget                                         *int64
@@ -166,18 +166,13 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{}
 	sf.addr = fs.String("metrics-addr", "localhost:8099", "listen `address` for /predict, /learn, /metrics, /debug/vars and /debug/pprof")
 	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
-	sf.workers = fs.Int("workers", 4, "worker-pool size for sharded predicts and the demo workload")
+	sf.workers = fs.Int("workers", 4, "worker-pool size for the demo workload; served predicts scan their shards on the request goroutine")
 	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
-	sf.shards = fs.Int("shards", 4, "associative-memory shard count for /predict fan-out")
-	// The queue-depth/max-batch defaults are pinned from hdload sweeps
-	// at the measured saturation knee (scripts/loadsweep.sh, see
-	// benchmarks/README.md): at knee-rate load, 128/32 roughly halves
-	// p99 and cuts p999 ~3× versus the previous 64/16, and under 2×
-	// overload it sheds fewer requests at equal tail latency. Shallower
-	// queues with small batches are fragile — the dispatcher drains too
-	// slowly and arrival bursts turn into sheds or multi-second waits.
-	sf.queueDepth = fs.Int("queue-depth", 128, "predict queue bound; further requests get 429")
-	sf.maxBatch = fs.Int("max-batch", 32, "most predict requests classified in one dispatcher batch")
+	sf.shards = fs.Int("shards", 4, "associative-memory shard count per model")
+	// -queue-depth is named for the predict queue it once sized; the
+	// name and the 128 default stay so existing command lines still
+	// parse and admit the same load.
+	sf.queueDepth = fs.Int("queue-depth", 128, "most /predict requests in flight at once; further requests get 429")
 	sf.logLevel = fs.String("log-level", "info", "structured log level: debug, info, warn or error (debug logs every request with its id)")
 	sf.logFormat = fs.String("log-format", "text", "structured log format: text or json")
 	sf.traceRequests = fs.Int("trace-requests", 32, "request span timelines retained for /debug/spans; 0 disables request tracing")
@@ -208,14 +203,14 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
 	addr, demo, workers, seed, shards := sf.addr, sf.demo, sf.workers, sf.seed, sf.shards
-	queueDepth, maxBatch, logLevel, logFormat := sf.queueDepth, sf.maxBatch, sf.logLevel, sf.logFormat
+	queueDepth, logLevel, logFormat := sf.queueDepth, sf.logLevel, sf.logFormat
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
 	grace, predictTimeout, predictRetries, retryBackoff := sf.grace, sf.predictTimeout, sf.predictRetries, sf.retryBackoff
 	chaosShard, imBackend, stateDir, residentBudget := sf.chaosShard, sf.imBackend, sf.stateDir, sf.residentBudget
 	walSync, snapshotEvery, defaultModel := sf.walSync, sf.snapshotEvery, sf.defaultModel
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-shards n] [-queue-depth n] [-max-batch n] [-log-level l] [-trace-requests n]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-shards n] [-queue-depth n] [-log-level l] [-trace-requests n]\n\n")
 		fmt.Fprintf(os.Stderr, "Serves online-learning models over HTTP. The legacy single-model routes\n")
 		fmt.Fprintf(os.Stderr, "— POST /predict classifies a window, POST /learn folds a label-corrected\n")
 		fmt.Fprintf(os.Stderr, "window into a new model generation — serve the default registry model\n")
@@ -313,15 +308,18 @@ func runServe(args []string) int {
 	}
 	baseCfg := hdc.EMGConfig()
 	baseCfg.Backend = backend
-	pool := parallel.NewPool(*workers)
-	defer pool.Close()
-	api, err := newRegistryAPIServer(reg, *defaultModel, baseCfg, pool, *queueDepth, *maxBatch, h.Serving)
+	api, err := newAPIServer(reg, *defaultModel, baseCfg, *queueDepth, h.Serving)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)
 		return 1
 	}
-	sv := api.sv
-	h.Serving.RecordModel(sv.Generation(), sv.Classes(), sv.AM().Shards())
+	sv, err := reg.Serving(*defaultModel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pulphd serve: %v\n", err)
+		return 1
+	}
+	classes, amShards := sv.Classes(), sv.AM().Shards()
+	h.Serving.RecordModel(sv.Generation(), classes, amShards)
 	h.Serving.RecordFootprint(sv.ResidentBytes())
 	api.log = logger
 	api.timeout = *predictTimeout
@@ -413,9 +411,6 @@ func runServe(args []string) int {
 		}
 		syncer.RegisterMetrics(h.Registry)
 	}
-	api.start()
-	defer api.stop()
-
 	if *demo {
 		go rtpprof.Do(context.Background(), rtpprof.Labels("task", "demo-workload"),
 			func(context.Context) {
@@ -431,7 +426,7 @@ func runServe(args []string) int {
 
 	// Serve until a termination signal, then drain gracefully: stop
 	// accepting (handlers answer 503), let in-flight requests finish
-	// under the Shutdown deadline, and only then stop the dispatcher.
+	// under the Shutdown deadline, and only then close the registry.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	if syncer != nil {
@@ -441,7 +436,7 @@ func runServe(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving",
-		"addr", *addr, "model", *defaultModel, "classes", sv.Classes(), "shards", sv.AM().Shards(),
+		"addr", *addr, "model", *defaultModel, "classes", classes, "shards", amShards,
 		"state_dir", *stateDir,
 		"endpoints", "/predict /learn /models /models/{name}/predict /models/{name}/learn /models/{name}/slo /healthz /readyz /metrics /debug/vars /debug/pprof/ /debug/spans /debug/flight")
 

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 )
 
@@ -28,18 +26,17 @@ const modelHeader = "X-PULPHD-Model"
 
 // This file is the HTTP front end of the online-learning serving
 // layer: POST /predict classifies windows against the current model
-// generation, POST /learn folds label-corrected windows back in.
-// Predict requests flow through a bounded queue into a single
-// dispatcher goroutine that owns the worker pool and drains the queue
-// in batches — concurrent HTTP handlers never contend on the pool, and
-// a full queue sheds load with 429 instead of queueing unboundedly.
+// generation, POST /learn folds label-corrected windows back in. Every
+// request resolves its model in the registry and runs on its own
+// handler goroutine: a predict is a few microseconds of encode and AM
+// search, cheaper than any handoff to another goroutine, so the
+// handler runs it inline. An in-flight bound sheds excess predicts
+// with 429 instead of letting them pile onto the CPUs.
 //
-// With a model registry attached (newRegistryAPIServer), the same
-// queue and dispatcher serve many named models: /models/{name}/predict
-// and /models/{name}/learn route by path, the legacy /predict and
-// /learn routes accept an X-PULPHD-Model header or fall through to the
-// default model, and /models hosts the admin surface (list, create,
-// delete). Learns against the registry are write-ahead logged before
+// /models/{name}/predict and /models/{name}/learn route by path, the
+// legacy /predict and /learn routes accept an X-PULPHD-Model header or
+// fall through to the default model, and /models hosts the admin
+// surface (list, create, delete). Learns are write-ahead logged before
 // they apply, so acknowledged learns survive a crash.
 
 // maxRequestBody bounds a request body; the EMG operating point needs
@@ -55,7 +52,7 @@ type predictResponse struct {
 	Distance   int    `json:"distance"`
 	Generation uint64 `json:"generation"`
 	// Model names the registry model that answered; empty on the
-	// legacy single-model route.
+	// legacy route without an X-PULPHD-Model header.
 	Model string `json:"model,omitempty"`
 }
 
@@ -81,8 +78,8 @@ var errReadOnly = errors.New("replica is read-only; send learns and model admin 
 // bounded retries — answered 500, never a process crash.
 var errPredictPanic = errors.New("internal error during predict")
 
-// errDeadline marks a predict whose per-request deadline expired —
-// answered 504 by the handler, skipped by the dispatcher.
+// errDeadline marks a predict whose per-request deadline expired
+// before an attempt could start — answered 504.
 var errDeadline = errors.New("predict deadline exceeded")
 
 // decodePredictWindow parses and validates one window payload. It is
@@ -111,117 +108,49 @@ func decodePredictWindow(sv *hdc.Serving, body io.Reader) ([][]float64, error) {
 	return req.Window, nil
 }
 
-// pendingPredict is one queued predict: the decoded window, the
-// request-scoped observability it rides (ctx carries the span recorder
-// into the model layers; root is the request span, wait the open
-// queue-residency span), and the channel its result comes back on.
-type pendingPredict struct {
-	window [][]float64
-	// sv is the model this request resolved to at enqueue time; nil
-	// means the server's default model (the legacy single-model path).
-	// model carries the name for the response when the request routed
-	// explicitly.
-	sv       *hdc.Serving
-	model    string
-	ctx      context.Context
-	rec      *obs.Spans
-	root     obs.SpanID
-	wait     obs.SpanID
-	enqueued time.Time
-	done     chan predictResult
-
-	// completions resolves recorder ownership between the handler and
-	// the dispatcher: each side adds one when it is finished with the
-	// request, and whichever side lands second ends the root span and
-	// files the recorder back into the timeline ring. The handler
-	// normally finishes second (it waits for done); when it abandons
-	// the request first — deadline expired, client gone — the
-	// dispatcher's completion recycles the recorder instead, so a
-	// sustained timeout storm reuses the same recorders rather than
-	// allocating one per abandoned request.
-	completions atomic.Int32
-
-	// trig accumulates flight-recorder trigger bits from both sides
-	// (handler: timeout, shed; dispatcher: error, retry, degraded) and
-	// gen the generation the dispatcher's predict scanned. Atomic
-	// because both sides may write on the tail paths; the second
-	// completion reads them when it decides whether to pin the
-	// timeline.
-	trig atomic.Uint32
-	gen  atomic.Uint64
-}
-
-// addTrigger ORs one trigger bit in (atomic.Uint32 gains Or only in
-// go1.23; this CAS loop is the 1.22 spelling).
-func (p *pendingPredict) addTrigger(t flight.Trigger) {
-	for {
-		old := p.trig.Load()
-		if old&uint32(t) == uint32(t) || p.trig.CompareAndSwap(old, old|uint32(t)) {
-			return
-		}
-	}
-}
-
+// predictResult is one answered predict: the winning class, the
+// generation the predict actually scanned, and the flight-recorder
+// trigger bits it raised (retried, degraded).
 type predictResult struct {
 	label      string
 	distance   int
 	generation uint64
-	model      string
-	// degraded and retried carry the tail-event facts out of the
-	// dispatcher: the predict fell back to the flat scan, or needed at
-	// least one retry after a recovered panic.
-	degraded bool
-	retried  bool
-	err      error
+	trig       flight.Trigger
 }
 
-// apiServer owns the serving model, the bounded predict queue, and the
-// dispatcher that drains it.
+// apiServer serves the registry's models over HTTP.
 type apiServer struct {
-	sv       *hdc.Serving
-	pool     *parallel.Pool
-	queue    chan *pendingPredict
-	maxBatch int
-	m        *obs.ServingMetrics
-
-	// reg, when non-nil, is the multi-tenant model registry behind the
-	// /models routes; defaultModel names the registry model the legacy
-	// /predict and /learn routes serve, and baseConfig is the geometry
-	// POST /models creates new models with.
+	// reg is the multi-tenant model registry every route resolves
+	// against; defaultModel names the model the legacy /predict and
+	// /learn routes serve, and baseConfig is the geometry POST /models
+	// creates new models with.
 	reg          *modreg.Registry
 	defaultModel string
 	baseConfig   hdc.Config
+	m            *obs.ServingMetrics
 
-	// ses is the dispatcher's serving session. Only the dispatcher
-	// goroutine touches it (and the pool); after a recovered predict
-	// panic both are replaced, since a panic that escaped mid-collective
-	// can leave the pool barrier poisoned.
-	ses *hdc.Session
+	// maxInFlight bounds the predicts running at once; inFlight counts
+	// them, and a predict admitted past the bound is shed with 429.
+	maxInFlight int64
+	inFlight    atomic.Int64
 
-	// sessions caches dispatcher sessions for non-default registry
-	// models, keyed by Serving instance (an evict/fault-in cycle makes
-	// a new instance, so stale keys die with their model). Dispatcher
-	// goroutine only, like ses.
-	sessions map[*hdc.Serving]*hdc.Session
-
-	// timeout bounds one predict from enqueue to answer (0: none): the
-	// handler answers 504 when it expires and the dispatcher skips
-	// requests whose context is already dead. retries and retryBackoff
-	// bound the re-attempts after a recovered predict panic; backoff
-	// doubles per attempt.
+	// timeout bounds one predict from arrival to its last attempt's
+	// start (0: none); past it the handler answers 504. retries and
+	// retryBackoff bound the re-attempts after a recovered predict
+	// panic; backoff doubles per attempt.
 	timeout      time.Duration
 	retries      int
 	retryBackoff time.Duration
 
 	// log receives the structured request log; timelines, when
 	// non-nil, keeps the most recent request span trees for
-	// /debug/spans. Both are optional and set before start().
+	// /debug/spans. Both are optional and set before serving.
 	log       *slog.Logger
 	timelines *obs.Timelines
 
 	// slo is the per-tenant SLO engine (burn rates, breach callback)
 	// and flight the tail-event recorder that /debug/flight dumps.
-	// Both optional, set before start(), and nil-safe throughout.
+	// Both optional, set before serving, and nil-safe throughout.
 	slo    *sloeng.Engine
 	flight *flight.Ring
 
@@ -236,197 +165,62 @@ type apiServer struct {
 	// finish under http.Server.Shutdown.
 	nextID   atomic.Uint64
 	draining atomic.Bool
-
-	stopped chan struct{}
 }
 
-// newAPIServer builds the server around an existing model. The
-// dispatcher is not running yet; start it with start(). queueDepth is
-// the backpressure bound (further predicts get 429), maxBatch the most
-// windows one dispatcher drain classifies together.
-func newAPIServer(sv *hdc.Serving, pool *parallel.Pool, queueDepth, maxBatch int, m *obs.ServingMetrics) *apiServer {
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
+// newAPIServer builds the server over a model registry. The legacy
+// /predict and /learn routes serve defaultModel, which must be
+// registered; the /models routes serve every tenant. baseConfig is the
+// geometry POST /models creates models with, and maxInFlight the
+// concurrent-predict bound past which requests get 429. The server
+// holds no model itself: every request resolves its model, so an
+// evicted model's memory is released as soon as its last predict ends.
+func newAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Config,
+	maxInFlight int, m *obs.ServingMetrics) (*apiServer, error) {
+	if !reg.Has(defaultModel) {
+		return nil, fmt.Errorf("default model: %w: %q", modreg.ErrNotFound, defaultModel)
 	}
 	return &apiServer{
-		sv:           sv,
-		pool:         pool,
-		queue:        make(chan *pendingPredict, queueDepth),
-		maxBatch:     maxBatch,
+		reg:          reg,
+		defaultModel: defaultModel,
+		baseConfig:   baseConfig,
 		m:            m,
+		maxInFlight:  int64(max(maxInFlight, 1)),
 		retries:      2,
 		retryBackoff: 2 * time.Millisecond,
 		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
-		stopped:      make(chan struct{}),
-	}
+	}, nil
 }
 
-// newRegistryAPIServer builds the server over a model registry. The
-// legacy /predict and /learn routes serve defaultModel (which must be
-// registered); the /models routes serve every tenant. baseConfig is
-// the geometry POST /models creates models with.
-func newRegistryAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Config,
-	pool *parallel.Pool, queueDepth, maxBatch int, m *obs.ServingMetrics) (*apiServer, error) {
-	sv, err := reg.Serving(defaultModel)
-	if err != nil {
-		return nil, fmt.Errorf("default model: %w", err)
-	}
-	s := newAPIServer(sv, pool, queueDepth, maxBatch, m)
-	s.reg = reg
-	s.defaultModel = defaultModel
-	s.baseConfig = baseConfig
-	return s, nil
-}
-
-// start runs the dispatcher until stop. It owns the only Session and
-// the only pool handle, so no lock is needed anywhere on the predict
-// path. The dispatcher goroutine carries a pprof label so CPU profiles
-// separate batch classification from HTTP handling.
-func (s *apiServer) start() {
-	go pprof.Do(context.Background(), pprof.Labels("task", "serve-dispatcher"),
-		func(context.Context) { s.dispatch() })
-}
-
-// beginDrain refuses new work with 503 while requests already queued
-// or in flight complete — the first step of graceful shutdown, before
+// beginDrain refuses new work with 503 while requests already in
+// flight complete — the first step of graceful shutdown, before
 // http.Server.Shutdown waits the handlers out.
 func (s *apiServer) beginDrain() {
 	s.draining.Store(true)
 }
 
-// stop halts the dispatcher and fails queued requests.
-func (s *apiServer) stop() {
-	close(s.stopped)
-}
-
-// dispatch drains the queue in batches: take one request (blocking),
-// opportunistically take up to maxBatch-1 more, classify them over the
-// pool, answer everyone. Each request is classified through its own
-// context so its span recorder sees the batch it rode, the encode and
-// AM-search stages, and the per-shard fan-out.
-func (s *apiServer) dispatch() {
-	if s.sv != nil {
-		s.ses = s.sv.NewSession()
-	}
-	batch := make([]*pendingPredict, 0, s.maxBatch)
-	for {
-		batch = batch[:0]
-		select {
-		case <-s.stopped:
-			s.failQueued()
-			return
-		case p := <-s.queue:
-			batch = append(batch, p)
-		}
-	fill:
-		for len(batch) < s.maxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			default:
-				break fill
-			}
-		}
-		now := time.Now()
-		for _, p := range batch {
-			p.rec.End(p.wait)
-			if !p.enqueued.IsZero() {
-				s.m.RecordQueueWait(now.Sub(p.enqueued))
-			}
-		}
-		for _, p := range batch {
-			if sv := s.modelFor(p); sv == nil || sv.Classes() == 0 {
-				s.answer(p, predictResult{err: errNoModel})
-				continue
-			}
-			if p.ctx != nil && p.ctx.Err() != nil {
-				// The handler already answered (deadline) or the client
-				// went away; don't burn the batch's time on it.
-				s.answer(p, predictResult{err: errDeadline})
-				continue
-			}
-			bs := p.rec.Start("batch", p.rec.Parent())
-			p.rec.Annotate(bs, "size", int64(len(batch)))
-			p.rec.SetParent(bs)
-			res := s.predictOne(p)
-			p.rec.End(bs)
-			s.answer(p, res)
-		}
-		s.m.RecordServeBatch(len(batch))
-	}
-}
-
-// answer sends the dispatcher's result and marks the dispatcher's side
-// of the request complete. The dispatcher's tail-event facts (result
-// generation, error/retry/degraded trigger bits) are published first:
-// complete runs before the send so recorder ownership — and the flight
-// capture the second completion performs — is already resolved when
-// the handler wakes: either the handler is still waiting on done (it
-// completes second and recycles the recorder itself), or it abandoned
-// the request (the dispatcher is second and recycles here, after its
-// last span write).
-func (s *apiServer) answer(p *pendingPredict, res predictResult) {
-	p.gen.Store(res.generation)
-	if res.retried {
-		p.addTrigger(flight.TrigRetry)
-	}
-	if res.degraded {
-		p.addTrigger(flight.TrigDegraded)
-	}
-	if res.err != nil && !errors.Is(res.err, errNoModel) {
-		// errNoModel is a client-shaped 409, not a tail event; the
-		// deadline sentinel is the 504 taxonomy bit, everything else
-		// (panic-retries exhausted, shutdown) is an error capture.
-		if errors.Is(res.err, errDeadline) {
-			p.addTrigger(flight.TrigTimeout)
-		} else {
-			p.addTrigger(flight.TrigError)
-		}
-	}
-	s.complete(p)
-	p.done <- res
-}
-
-// complete marks one side (handler or dispatcher) finished with the
-// request; the second completion ends the root span, pins the timeline
-// into the flight recorder when the request tripped a trigger, and
-// files the recorder into the timeline ring for recycling.
-func (s *apiServer) complete(p *pendingPredict) {
-	if p.completions.Add(1) == 2 {
-		p.rec.End(p.root)
-		s.capture(p)
-		s.timelines.Release(p.rec)
-	}
-}
-
-// capture decides whether the finished request is a tail event and, if
-// so, copies its timeline into the flight recorder before the recorder
-// is recycled. The accumulated trigger bits come from both sides of
-// the request; the slow trigger is computed here against the model's
-// SLO latency objective. On the healthy path this is a handful of
-// atomic loads and compares — no allocation, no capture.
-func (s *apiServer) capture(p *pendingPredict) {
-	if s.flight == nil {
-		return
-	}
-	trig := flight.Trigger(p.trig.Load())
-	dur := time.Since(p.enqueued)
-	model := orDefault(p.model, s.defaultModel)
-	if trig&flight.TrigSlow == 0 {
+// finish closes a request's timeline: it ends the root span, pins the
+// timeline into the flight recorder when the request tripped a trigger
+// or ran past its model's SLO latency objective, and files the
+// recorder back into the timeline ring. The handler owns the recorder
+// alone, so it calls finish exactly once on every path that got past
+// model resolution and decode. On the healthy path this is a handful
+// of compares — no allocation, no capture.
+func (s *apiServer) finish(rec *obs.Spans, root obs.SpanID, model string, gen uint64, trig flight.Trigger, start time.Time) {
+	rec.End(root)
+	if s.flight != nil {
+		dur := time.Since(start)
 		if th := s.slo.SlowThreshold(model); th > 0 && dur > th {
 			trig |= flight.TrigSlow
 		}
+		s.flight.Capture(rec, model, gen, trig, dur)
 	}
-	s.flight.Capture(p.rec, model, p.gen.Load(), trig, dur)
+	s.timelines.Release(rec)
 }
 
 // recordSLO folds one finished request into the per-tenant SLO engine
 // (nil-safe: a server without an engine records nothing).
 func (s *apiServer) recordSLO(model string, start time.Time, failed bool) {
-	s.slo.Record(orDefault(model, s.defaultModel), time.Since(start), failed)
+	s.slo.Record(model, time.Since(start), failed)
 }
 
 // maxRetryBackoff caps the doubling predict-retry backoff: past it
@@ -450,29 +244,30 @@ func (s *apiServer) backoff(attempt int) time.Duration {
 	return b << uint(attempt)
 }
 
-// predictOne classifies one queued request with bounded retries: a
-// predict that panics (a poisoned model, a crashed worker the shard
-// fallback could not absorb) is recovered, the pool and session are
-// replaced, and the attempt repeats after a doubling backoff. When the
-// retry budget is spent the request fails with errPredictPanic (a 500)
-// — the process never dies with it. The reported generation is read
-// from the session after the predict — the generation its atomic load
-// actually scanned — because a /learn can publish mid-batch and make
-// any generation captured earlier stale.
-func (s *apiServer) predictOne(p *pendingPredict) predictResult {
-	ctx := p.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// predict classifies one decoded window on the calling goroutine with
+// bounded retries. Before every attempt the request's deadline is
+// checked (errDeadline, a 504). A panicking attempt — a poisoned model,
+// a crash the per-shard fallback could not absorb — is recovered, and
+// the attempt repeats on a fresh session after a doubling backoff;
+// when the retry budget is spent the request fails with
+// errPredictPanic (a 500). The process never dies with it. The result
+// carries the TrigRetry bit whenever more than one attempt ran.
+func (s *apiServer) predict(ctx context.Context, sv *hdc.Serving, window [][]float64, start time.Time) (predictResult, error) {
+	var trig flight.Trigger
 	for attempt := 0; ; attempt++ {
-		label, dist, gen, degraded, err := s.tryPredict(ctx, p)
+		if attempt > 0 {
+			trig |= flight.TrigRetry
+		}
+		if s.timeout > 0 && time.Since(start) > s.timeout {
+			return predictResult{trig: trig}, errDeadline
+		}
+		res, err := s.tryPredict(ctx, sv, window)
 		if err == nil {
-			return predictResult{label: label, distance: dist, generation: gen,
-				model: p.model, degraded: degraded, retried: attempt > 0}
+			res.trig |= trig
+			return res, nil
 		}
 		if attempt >= s.retries {
-			return predictResult{retried: attempt > 0,
-				err: fmt.Errorf("%w: %v", errPredictPanic, err)}
+			return predictResult{trig: trig}, fmt.Errorf("%w: %v", errPredictPanic, err)
 		}
 		s.m.RecordRetry()
 		if d := s.backoff(attempt); d > 0 {
@@ -481,96 +276,30 @@ func (s *apiServer) predictOne(p *pendingPredict) predictResult {
 	}
 }
 
-// modelFor resolves a queued request to its Serving: the one the
-// handler pinned at enqueue, or the server's default model.
-func (s *apiServer) modelFor(p *pendingPredict) *hdc.Serving {
-	if p.sv != nil {
-		return p.sv
-	}
-	return s.sv
-}
-
-// sessionFor returns the dispatcher session for sv. The default
-// model's session is the ses field exactly as before registries
-// existed (including its nil-until-dispatch lifecycle, which the
-// panic-recovery path relies on); other models get cached sessions
-// keyed by Serving instance.
-func (s *apiServer) sessionFor(sv *hdc.Serving) *hdc.Session {
-	if sv == s.sv {
-		return s.ses
-	}
-	if ses := s.sessions[sv]; ses != nil {
-		return ses
-	}
-	// Evict/fault-in cycles retire Serving instances; cap the cache so
-	// retired keys cannot accumulate without bound. Sessions are cheap
-	// to rebuild (a pooled scratch buffer), so a full clear is fine.
-	if len(s.sessions) >= 64 {
-		clear(s.sessions)
-	}
-	if s.sessions == nil {
-		s.sessions = make(map[*hdc.Serving]*hdc.Session)
-	}
-	ses := sv.NewSession()
-	s.sessions[sv] = ses
-	return ses
-}
-
 // tryPredict runs one predict attempt, converting a panic into an
-// error after replacing the worker pool and session — a panic that
-// escaped mid-collective may have left stale barrier signals that
-// would poison every later collective on the same pool. The
-// generation is read from the session after the predict — the
-// generation its atomic load actually scanned — and degraded reports
-// whether this predict fell back to the flat AM scan after a shard
-// failure (a flight-recorder trigger).
-func (s *apiServer) tryPredict(ctx context.Context, p *pendingPredict) (label string, dist int, gen uint64, degraded bool, err error) {
+// error. hdc.Serving.PredictCtx leaves the session it panicked in out
+// of its pool, so the retry starts clean. The generation is the one
+// the predict's own atomic load scanned — a /learn can publish
+// mid-predict and make any generation read earlier stale — and a
+// fallback to the flat AM scan after a shard failure raises the
+// degraded trigger.
+func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]float64) (res predictResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.RecordPanicRecovered()
 			s.log.Warn("predict panic recovered", "panic", r)
-			s.replacePoolAndSession()
 			err = fmt.Errorf("recovered: %v", r)
 		}
 	}()
-	ses := s.sessionFor(s.modelFor(p))
-	label, dist = ses.PredictCtx(ctx, s.pool, p.window)
-	return label, dist, ses.Generation(), ses.Degraded(), nil
+	var degraded bool
+	res.label, res.distance, res.generation, degraded = sv.PredictCtx(ctx, window)
+	if degraded {
+		res.trig = flight.TrigDegraded
+	}
+	return res, nil
 }
 
-// replacePoolAndSession swaps in a fresh worker pool and serving
-// session (and drops every cached per-model session) after a
-// recovered panic. Only the dispatcher goroutine calls it, so no lock
-// guards the fields.
-func (s *apiServer) replacePoolAndSession() {
-	if s.pool != nil {
-		workers := s.pool.Workers()
-		s.pool.Close()
-		s.pool = parallel.NewPool(workers)
-	}
-	if s.sv != nil {
-		s.ses = s.sv.NewSession()
-	}
-	clear(s.sessions)
-}
-
-// failQueued answers everything still queued at shutdown.
-func (s *apiServer) failQueued() {
-	for {
-		select {
-		case p := <-s.queue:
-			p.rec.End(p.wait)
-			s.answer(p, predictResult{err: errors.New("server shutting down")})
-		default:
-			return
-		}
-	}
-}
-
-// register installs the serving endpoints on mux. The named-model and
-// admin routes appear only when a registry is attached; the legacy
-// routes always do, so single-model deployments and their tests see
-// the unchanged surface.
+// register installs the serving endpoints on mux.
 func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("/predict", s.handlePredict)
 	mux.HandleFunc("/learn", s.handleLearn)
@@ -578,9 +307,6 @@ func (s *apiServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/debug/spans", s.handleSpans)
 	mux.HandleFunc("/debug/flight", s.handleFlight)
-	if s.reg == nil {
-		return
-	}
 	mux.HandleFunc("POST /models/{model}/predict", s.handlePredict)
 	mux.HandleFunc("POST /models/{model}/learn", s.handleLearn)
 	mux.HandleFunc("GET /models", s.handleModelsList)
@@ -594,27 +320,17 @@ func (s *apiServer) register(mux *http.ServeMux) {
 // resolveModel picks the model a request addresses: the {model} path
 // segment, the X-PULPHD-Model header, or the default. The returned
 // name is empty exactly when the request did not route explicitly (the
-// legacy shape), even though a registry-backed default still serves
-// it. ctx carries the request's span recorder, so a cold model's
-// fault-in (snapshot read, WAL replay) shows up as registry.faultin /
-// registry.recover spans inside the request timeline that paid for it.
+// legacy shape). ctx carries the request's span recorder, so a cold
+// model's fault-in (snapshot read, WAL replay) shows up as
+// registry.faultin / registry.recover spans inside the request
+// timeline that paid for it.
 func (s *apiServer) resolveModel(ctx context.Context, r *http.Request) (name string, sv *hdc.Serving, err error) {
-	explicit := r.PathValue("model")
-	if explicit == "" {
-		explicit = r.Header.Get(modelHeader)
+	name = r.PathValue("model")
+	if name == "" {
+		name = r.Header.Get(modelHeader)
 	}
-	if explicit == "" {
-		if s.reg != nil {
-			sv, err = s.reg.ServingCtx(ctx, s.defaultModel)
-			return "", sv, err
-		}
-		return "", s.sv, nil
-	}
-	if s.reg == nil {
-		return "", nil, fmt.Errorf("%w: %q (no model registry attached)", modreg.ErrNotFound, explicit)
-	}
-	sv, err = s.reg.ServingCtx(ctx, explicit)
-	return explicit, sv, err
+	sv, err = s.reg.ServingCtx(ctx, orDefault(name, s.defaultModel))
+	return name, sv, err
 }
 
 // registryErrCode maps registry errors onto HTTP statuses.
@@ -646,25 +362,11 @@ func (s *apiServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	if s.reg != nil {
-		if name := r.URL.Query().Get("model"); name != "" {
-			s.handleModelReadyz(w, r, name)
-			return
-		}
-		s.handleRegistryReadyz(w)
+	if name := r.URL.Query().Get("model"); name != "" {
+		s.handleModelReadyz(w, r, name)
 		return
 	}
-	gen, classes := s.sv.Generation(), s.sv.Classes()
-	if gen == 0 && classes == 0 {
-		httpError(w, http.StatusServiceUnavailable, errNoModel)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status":     "ready",
-		"generation": gen,
-		"classes":    classes,
-	})
+	s.handleRegistryReadyz(w)
 }
 
 // handleModelReadyz gates readiness on one model reaching a minimum
@@ -852,271 +554,191 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
+// request is the state the /predict and /learn handlers share: the
+// request id and arrival time, the span recorder riding ctx with its
+// root span, and the model the request resolved to — name as routed
+// (empty on the legacy route), model with the default filled in.
+type request struct {
+	id    uint64
+	start time.Time
+	ctx   context.Context
+	rec   *obs.Spans
+	root  obs.SpanID
+	name  string
+	model string
+	sv    *hdc.Serving
+}
+
+// begin opens a /predict or /learn request: it checks the method,
+// refuses work while draining (and learns on a read-only replica),
+// tags the request with an id, acquires its span recorder and resolves
+// its model. The recorder is acquired before the model resolves so a
+// cold fault-in lands in this request's timeline. From here the
+// handler alone owns the recorder and closes it on every path. ok is
+// false when begin has already answered.
+func (s *apiServer) begin(w http.ResponseWriter, r *http.Request, kind string) (q request, ok bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a JSON body to /predict"))
-		return
+		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST a JSON body to /%s", kind))
+		return q, false
 	}
 	if s.draining.Load() {
 		s.m.RecordRequest(false)
 		httpError(w, http.StatusServiceUnavailable, errors.New("server draining"))
-		return
+		return q, false
 	}
-	id := s.nextID.Add(1)
-	start := time.Now()
-	// When request tracing is on, the recorder rides the context down
-	// through model resolution (fault-in spans) and queue → batch →
-	// encode → per-shard search; the handler owns it and files it into
-	// the timeline ring when the request is answered. It is acquired
-	// before the model resolves so a cold fault-in lands in this
-	// request's timeline, which means the pre-enqueue error paths below
-	// must close the root span and recycle it themselves.
-	rec := s.timelines.Acquire(id)
-	ctx := r.Context()
-	root := obs.NoSpan
-	if rec != nil {
-		ctx = obs.WithSpans(ctx, rec)
-		root = rec.Start("request", obs.NoSpan)
-		rec.Annotate(root, "id", int64(id))
-		rec.SetParent(root)
+	if s.readOnly && kind == "learn" {
+		s.m.RecordRequest(false)
+		httpError(w, http.StatusForbidden, errReadOnly)
+		return q, false
 	}
-	name, sv, err := s.resolveModel(ctx, r)
+	q.id, q.start, q.ctx, q.root = s.nextID.Add(1), time.Now(), r.Context(), obs.NoSpan
+	if q.rec = s.timelines.Acquire(q.id); q.rec != nil {
+		q.ctx = obs.WithSpans(q.ctx, q.rec)
+		q.root = q.rec.Start("request", obs.NoSpan)
+		q.rec.Annotate(q.root, "id", int64(q.id))
+		q.rec.SetParent(q.root)
+	}
+	var err error
+	q.name, q.sv, err = s.resolveModel(q.ctx, r)
+	q.model = orDefault(q.name, s.defaultModel)
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("predict rejected", "request", id, "error", err)
-		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
+		s.reject(w, q, kind, registryErrCode(err, http.StatusInternalServerError), err)
+		return q, false
+	}
+	if q.rec != nil {
+		q.rec.Model = q.model
+	}
+	return q, true
+}
+
+// reject answers a request refused before its work started: it counts
+// the rejection, closes and recycles the timeline without a flight
+// capture, and writes the error.
+func (s *apiServer) reject(w http.ResponseWriter, q request, kind string, code int, err error) {
+	s.m.RecordRequest(false)
+	q.rec.End(q.root)
+	s.timelines.Release(q.rec)
+	s.log.Debug(kind+" rejected", "request", q.id, "error", err)
+	httpError(w, code, err)
+}
+
+func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
+	q, ok := s.begin(w, r, "predict")
+	if !ok {
 		return
 	}
-	if rec != nil {
-		rec.Model = orDefault(name, s.defaultModel)
-	}
-	window, err := decodePredictWindow(sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := q.rec.Start("decode", q.root)
+	window, err := decodePredictWindow(q.sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
+	q.rec.End(dec)
 	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("predict rejected", "request", id, "error", err)
-		httpError(w, http.StatusBadRequest, err)
+		s.reject(w, q, "predict", http.StatusBadRequest, err)
 		return
 	}
-	if s.reg != nil {
-		s.reg.Metrics().RecordOp(orDefault(name, s.defaultModel), "predict")
-	}
-	// The per-request deadline rides the context: when it expires the
-	// handler answers 504 below, and the dispatcher sees the dead
-	// context and skips the request instead of classifying into the
-	// void. cancel runs when the handler returns, whichever came first.
-	var timeoutC <-chan time.Time
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-		tm := time.NewTimer(s.timeout)
-		defer tm.Stop()
-		timeoutC = tm.C
-	}
-	p := &pendingPredict{
-		window:   window,
-		sv:       sv,
-		model:    name,
-		ctx:      ctx,
-		rec:      rec,
-		root:     root,
-		wait:     rec.Start("queue.wait", root),
-		enqueued: start,
-		done:     make(chan predictResult, 1),
-	}
-	select {
-	case s.queue <- p:
-		s.m.RecordRequest(true)
-	default:
-		// Shed: the dispatcher never sees this request, so the handler
-		// alone closes the spans it opened, pins the shed into the
-		// flight recorder, and recycles the recorder — leaking it here
-		// would defeat the free list exactly when load is highest.
+	s.reg.Metrics().RecordOp(q.model, "predict")
+	// Admission: past maxInFlight concurrent predicts the request sheds
+	// with 429 instead of queueing for a CPU.
+	if s.inFlight.Add(1) > s.maxInFlight {
+		s.inFlight.Add(-1)
 		s.m.RecordRequest(false)
-		rec.End(p.wait)
-		rec.End(root)
-		p.addTrigger(flight.TrigShed)
-		s.capture(p)
-		s.timelines.Release(rec)
-		s.recordSLO(name, start, true)
-		s.log.Debug("predict shed", "request", id, "reason", "queue full")
-		httpError(w, http.StatusTooManyRequests, errors.New("predict queue full; retry"))
+		s.finish(q.rec, q.root, q.model, 0, flight.TrigShed, q.start)
+		s.recordSLO(q.model, q.start, true)
+		s.log.Debug("predict shed", "request", q.id, "reason", "too many in flight")
+		httpError(w, http.StatusTooManyRequests, errors.New("too many predicts in flight; retry"))
 		return
 	}
-	select {
-	case res := <-p.done:
-		s.complete(p)
-		if res.err != nil {
-			code := http.StatusServiceUnavailable
-			switch {
-			case errors.Is(res.err, errNoModel):
-				code = http.StatusConflict
-			case errors.Is(res.err, errPredictPanic):
-				code = http.StatusInternalServerError
-			case errors.Is(res.err, errDeadline):
-				code = http.StatusGatewayTimeout
-			}
-			// errNoModel is the client's 409, not a burn against the
-			// model's error budget; every 5xx is.
-			if !errors.Is(res.err, errNoModel) {
-				s.recordSLO(name, start, true)
-			}
-			s.log.Debug("predict failed", "request", id, "error", res.err)
-			httpError(w, code, res.err)
-			return
+	defer s.inFlight.Add(-1)
+	s.m.RecordRequest(true)
+	if q.sv.Classes() == 0 {
+		// The client's 409: not a tail event, and no burn against the
+		// model's error budget.
+		s.finish(q.rec, q.root, q.model, 0, 0, q.start)
+		s.log.Debug("predict failed", "request", q.id, "error", errNoModel)
+		httpError(w, http.StatusConflict, errNoModel)
+		return
+	}
+	res, err := s.predict(q.ctx, q.sv, window, q.start)
+	if err != nil {
+		code, trig := http.StatusInternalServerError, flight.TrigError
+		if errors.Is(err, errDeadline) {
+			code, trig = http.StatusGatewayTimeout, flight.TrigTimeout
+			s.m.RecordTimeout()
 		}
-		s.recordSLO(name, start, false)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(predictResponse{
-			Label:      res.label,
-			Distance:   res.distance,
-			Generation: res.generation,
-			Model:      res.model,
-		})
-		s.log.Debug("predict", "request", id, "label", res.label,
-			"distance", res.distance, "generation", res.generation,
-			"duration", time.Since(start))
-	case <-timeoutC:
-		// Deadline expired before the dispatcher answered. Answer 504
-		// now; the dispatcher will see the dead context and skip the
-		// request (or its answer lands in the buffered channel, read by
-		// nobody). The handler must not touch the recorder past this
-		// point — the dispatcher may still be writing spans into it —
-		// so the timeout trigger is published first and complete hands
-		// ownership over: the dispatcher's own completion captures the
-		// flight entry and recycles the recorder after its last span
-		// write.
-		s.m.RecordTimeout()
-		s.recordSLO(name, start, true)
-		s.log.Debug("predict timeout", "request", id, "after", s.timeout)
-		httpError(w, http.StatusGatewayTimeout, errDeadline)
-		p.addTrigger(flight.TrigTimeout)
-		s.complete(p)
-	case <-r.Context().Done():
-		// The dispatcher will still answer p.done (buffered), nobody
-		// blocks; the client just went away. As with the timeout path,
-		// complete hands the recorder to the dispatcher for recycling.
-		s.complete(p)
+		s.finish(q.rec, q.root, q.model, 0, res.trig|trig, q.start)
+		s.recordSLO(q.model, q.start, true)
+		s.log.Debug("predict failed", "request", q.id, "error", err)
+		httpError(w, code, err)
+		return
 	}
+	s.finish(q.rec, q.root, q.model, res.generation, res.trig, q.start)
+	s.recordSLO(q.model, q.start, false)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(predictResponse{
+		Label:      res.label,
+		Distance:   res.distance,
+		Generation: res.generation,
+		Model:      q.name,
+	})
+	// LogAttrs boxes nothing, so the disabled debug line costs no
+	// allocation on the hot path.
+	s.log.LogAttrs(q.ctx, slog.LevelDebug, "predict", slog.Uint64("request", q.id),
+		slog.String("label", res.label), slog.Int("distance", res.distance),
+		slog.Uint64("generation", res.generation), slog.Duration("duration", time.Since(q.start)))
 }
 
 func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a JSON body to /learn"))
+	q, ok := s.begin(w, r, "learn")
+	if !ok {
 		return
-	}
-	if s.draining.Load() {
-		s.m.RecordRequest(false)
-		httpError(w, http.StatusServiceUnavailable, errors.New("server draining"))
-		return
-	}
-	if s.readOnly {
-		s.m.RecordRequest(false)
-		httpError(w, http.StatusForbidden, errReadOnly)
-		return
-	}
-	id := s.nextID.Add(1)
-	start := time.Now()
-	// The learn recorder is single-owner (no dispatcher side): acquired
-	// before model resolution so a cold fault-in and the WAL append /
-	// fsync spans land in this request's timeline, closed and recycled
-	// by this handler on every path.
-	rec := s.timelines.Acquire(id)
-	ctx := r.Context()
-	root := obs.NoSpan
-	if rec != nil {
-		ctx = obs.WithSpans(ctx, rec)
-		root = rec.Start("request", obs.NoSpan)
-		rec.Annotate(root, "id", int64(id))
-		rec.SetParent(root)
-	}
-	name, sv, err := s.resolveModel(ctx, r)
-	if err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		s.log.Debug("learn rejected", "request", id, "error", err)
-		httpError(w, registryErrCode(err, http.StatusInternalServerError), err)
-		return
-	}
-	if rec != nil {
-		rec.Model = orDefault(name, s.defaultModel)
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	var req learnRequest
 	if err := dec.Decode(&req); err != nil {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.reject(w, q, "learn", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Label == "" {
-		s.m.RecordRequest(false)
-		rec.End(root)
-		s.timelines.Release(rec)
-		httpError(w, http.StatusBadRequest, errors.New("label must be non-empty"))
+		s.reject(w, q, "learn", http.StatusBadRequest, errors.New("label must be non-empty"))
 		return
 	}
 	// Learn serializes on the model's writer lock; the copy-on-write
-	// publish keeps concurrent predicts lock-free throughout. Through a
-	// registry the learn is write-ahead logged as correction feedback
-	// before it applies, so an acknowledged learn survives a crash.
+	// publish keeps concurrent predicts lock-free throughout. The learn
+	// is write-ahead logged as correction feedback before it applies,
+	// so an acknowledged learn survives a crash.
 	var gen uint64
 	var classes int
-	if s.reg != nil {
-		effective := orDefault(name, s.defaultModel)
-		err = s.reg.CorrectCtx(ctx, effective, req.Label, req.Window)
-		if info, infoErr := s.reg.ModelInfo(effective); infoErr == nil {
-			gen, classes = info.Generation, info.Classes
-		}
-	} else {
-		err = sv.LearnCtx(ctx, req.Label, req.Window)
-		gen, classes = sv.Generation(), sv.Classes()
+	err := s.reg.CorrectCtx(q.ctx, q.model, req.Label, req.Window)
+	if info, infoErr := s.reg.ModelInfo(q.model); infoErr == nil {
+		gen, classes = info.Generation, info.Classes
 	}
-	rec.End(root)
 	// Tail-event bookkeeping before the recorder recycles: a 5xx learn
 	// or one slower than its model's latency objective pins the
 	// timeline (WAL fsync stalls are exactly what this catches), and
 	// the SLO engine sees every server-side outcome. Client-shaped
 	// rejections (4xx) burn no error budget.
 	code := 0
+	var trig flight.Trigger
 	if err != nil {
-		code = registryErrCode(err, http.StatusBadRequest)
-	}
-	if s.flight != nil {
-		var trig flight.Trigger
-		if code >= 500 {
-			trig |= flight.TrigError
+		if code = registryErrCode(err, http.StatusBadRequest); code >= 500 {
+			trig = flight.TrigError
 		}
-		dur := time.Since(start)
-		effective := orDefault(name, s.defaultModel)
-		if th := s.slo.SlowThreshold(effective); th > 0 && dur > th {
-			trig |= flight.TrigSlow
-		}
-		s.flight.Capture(rec, effective, gen, trig, dur)
 	}
-	s.timelines.Release(rec)
+	s.finish(q.rec, q.root, q.model, gen, trig, q.start)
 	if err != nil {
 		s.m.RecordRequest(false)
 		if code >= 500 {
-			s.recordSLO(name, start, true)
+			s.recordSLO(q.model, q.start, true)
 		}
-		s.log.Debug("learn rejected", "request", id, "error", err)
+		s.log.Debug("learn rejected", "request", q.id, "error", err)
 		httpError(w, code, err)
 		return
 	}
-	s.recordSLO(name, start, false)
+	s.recordSLO(q.model, q.start, false)
 	s.m.RecordRequest(true)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(learnResponse{Generation: gen, Classes: classes, Model: name})
-	s.log.Debug("learn", "request", id, "label", req.Label,
-		"generation", gen, "classes", classes, "duration", time.Since(start))
+	json.NewEncoder(w).Encode(learnResponse{Generation: gen, Classes: classes, Model: q.name})
+	s.log.Debug("learn", "request", q.id, "label", req.Label,
+		"generation", gen, "classes", classes, "duration", time.Since(q.start))
 }
 
 // orDefault returns name, or def when name is empty.

@@ -6,12 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
 	"pulphd/internal/parallel"
+	modreg "pulphd/internal/registry"
 	"pulphd/internal/stream"
 )
 
@@ -36,32 +39,44 @@ func testWindow(cfg hdc.Config, level float64) [][]float64 {
 	return w
 }
 
-// newTestAPI builds a trained serving model behind a running API
-// server and an httptest front end. Stop and close are hooked into
-// t.Cleanup.
-func newTestAPI(t *testing.T, queueDepth, maxBatch int) (*apiServer, *httptest.Server) {
+// newEphemeralAPI serves sv as the "default" model of an in-memory
+// registry — the shape every single-model test runs on. maxInFlight is
+// the 429 admission bound; m may be nil.
+func newEphemeralAPI(t testing.TB, sv *hdc.Serving, maxInFlight int, m *obs.ServingMetrics) *apiServer {
 	t.Helper()
-	sv, err := hdc.NewServing(testServingConfig(), 4)
+	reg, err := modreg.Open(modreg.Config{Shards: sv.Shards()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := []hdc.Sample{
-		{Label: "rest", Window: testWindow(sv.Config(), 2)},
-		{Label: "fist", Window: testWindow(sv.Config(), 16)},
-	}
-	if err := sv.Retrain(nil, samples); err != nil {
+	t.Cleanup(func() { reg.Close() })
+	if err := reg.Adopt("default", sv); err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close)
-	api := newAPIServer(sv, pool, queueDepth, maxBatch, nil)
-	api.start()
-	t.Cleanup(api.stop)
+	api, err := newAPIServer(reg, "default", sv.Config(), maxInFlight, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return api
+}
+
+// serveAPI mounts api's routes behind an httptest server that closes
+// at cleanup.
+func serveAPI(t testing.TB, api *apiServer) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	api.register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return api, srv
+	return srv
+}
+
+// newTestAPI serves a trained two-class model (four configured shards,
+// so the AM splits into two) behind an httptest front end.
+func newTestAPI(t *testing.T) (*apiServer, *httptest.Server, *hdc.Serving) {
+	t.Helper()
+	sv := trainedServing(t, 4)
+	api := newEphemeralAPI(t, sv, 8, nil)
+	return api, serveAPI(t, api), sv
 }
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (int, string) {
@@ -88,8 +103,8 @@ func windowJSON(t *testing.T, cfg hdc.Config, level float64) string {
 }
 
 func TestPredictHandler(t *testing.T) {
-	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
+	_, srv, _ := newTestAPI(t)
+	cfg := testServingConfig()
 	cases := []struct {
 		name      string
 		body      string
@@ -143,9 +158,9 @@ func TestPredictHandler(t *testing.T) {
 }
 
 func TestLearnHandler(t *testing.T) {
-	api, srv := newTestAPI(t, 8, 4)
-	cfg := api.sv.Config()
-	gen := api.sv.Generation()
+	_, srv, sv := newTestAPI(t)
+	cfg := sv.Config()
+	gen := sv.Generation()
 
 	// Teach a third gesture, then predict it.
 	body, err := json.Marshal(learnRequest{Label: "point", Window: testWindow(cfg, 9)})
@@ -192,8 +207,8 @@ func TestLearnHandler(t *testing.T) {
 }
 
 // TestPredictQueueOverflow pins the backpressure contract: with the
-// dispatcher stalled and the queue full, /predict sheds load with 429
-// and counts the rejection.
+// in-flight bound saturated, /predict sheds load with 429 and counts
+// the rejection.
 func TestPredictQueueOverflow(t *testing.T) {
 	sv, err := hdc.NewServing(testServingConfig(), 1)
 	if err != nil {
@@ -203,12 +218,9 @@ func TestPredictQueueOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &obs.ServingMetrics{}
-	api := newAPIServer(sv, nil, 1, 1, m) // dispatcher never started
-	api.queue <- &pendingPredict{}        // fill the queue
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	api := newEphemeralAPI(t, sv, 1, m)
+	api.inFlight.Store(1) // one predict already running: everything sheds
+	srv := serveAPI(t, api)
 
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusTooManyRequests {
@@ -225,13 +237,7 @@ func TestPredictNoModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := newAPIServer(sv, nil, 4, 4, nil)
-	api.start()
-	defer api.stop()
-	mux := http.NewServeMux()
-	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := serveAPI(t, newEphemeralAPI(t, sv, 4, nil))
 	code, body := postJSON(t, srv, "/predict", windowJSON(t, sv.Config(), 2))
 	if code != http.StatusConflict {
 		t.Fatalf("status %d, want 409 (%s)", code, body)
@@ -253,9 +259,7 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Serving.RecordModel(sv.Generation(), sv.Classes(), sv.AM().Shards())
-	api := newAPIServer(sv, nil, 8, 4, h.Serving)
-	api.start()
-	defer api.stop()
+	api := newEphemeralAPI(t, sv, 8, h.Serving)
 	mux := newMetricsMux(h)
 	api.register(mux)
 	srv := httptest.NewServer(mux)
@@ -288,8 +292,6 @@ func TestServingMetricsEndpoint(t *testing.T) {
 		"pulphd_serving_learns_total 3",
 		"pulphd_serving_requests_total 4",
 		"pulphd_serving_rejected_total 0",
-		"pulphd_serving_batches_total 1",
-		"pulphd_serving_batch_requests_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)
@@ -301,5 +303,60 @@ func TestServingMetricsEndpoint(t *testing.T) {
 				fmt.Println(line)
 			}
 		}
+	}
+}
+
+// TestEvictedDefaultModelReleased pins that the server holds no model
+// of its own: once the registry evicts the default model, nothing in
+// the apiServer keeps it reachable, so its memory is freed and
+// pulphd_registry_resident_bytes stays truthful. The finalizer sits on
+// the AM, not the Serving, which forms a cycle with its pooled
+// sessions and so is not guaranteed a finalizer run.
+func TestEvictedDefaultModelReleased(t *testing.T) {
+	reg, err := modreg.Open(modreg.Config{Dir: t.TempDir(), Shards: 2, ResidentBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	sv := trainedServing(t, 2)
+	cfg := sv.Config()
+	if err := reg.Adopt("default", sv); err != nil {
+		t.Fatal(err)
+	}
+	api, err := newAPIServer(reg, "default", cfg, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api.timelines = obs.NewTimelines(4, 64)
+	srv := serveAPI(t, api)
+	if code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2)); code != http.StatusOK {
+		t.Fatalf("predict before eviction: %d %s", code, body)
+	}
+
+	released := make(chan struct{})
+	runtime.SetFinalizer(sv.AM(), func(*hdc.ShardedAM) { close(released) })
+	sv = nil
+	reg.EnforceBudget()
+	if info, err := reg.ModelInfo("default"); err != nil || info.Resident {
+		t.Fatalf("default model not evicted: %+v, %v", info, err)
+	}
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+		default:
+			if i == 50 {
+				t.Fatal("evicted default model is still reachable")
+			}
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		break
+	}
+
+	// The next predict faults the model back in and answers as before.
+	code, body := postJSON(t, srv, "/predict", windowJSON(t, cfg, 2))
+	if code != http.StatusOK || !strings.Contains(body, `"label":"rest"`) {
+		t.Fatalf("predict after eviction: %d %s", code, body)
 	}
 }

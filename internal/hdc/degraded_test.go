@@ -3,6 +3,7 @@ package hdc
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"pulphd/internal/obs"
@@ -119,5 +120,81 @@ func TestDegradedFallbackStaged(t *testing.T) {
 	}
 	if sm.DegradedScans.Value() == 0 {
 		t.Fatal("staged path did not count the degraded scan")
+	}
+}
+
+// TestSerialShardLoop pins the nil-pool path of a sharded AM: the
+// shards run one by one on the caller, bit-identical to the flat scan
+// for every shard count, and still guarded by the chaos hook, the
+// per-shard recover and the degraded fallback.
+func TestSerialShardLoop(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, 8} {
+		sv, probe := servingFixture(t, shards)
+		ses := sv.NewSession()
+		ses.ctx.encodeTo(ses.ctx.query, probe, sv.cfg.NGram)
+		wantIdx, wantDist := sv.AM().NearestInto(nil, ses.ctx.query, nil)
+		wantLabel := sv.AM().Label(wantIdx)
+		label, dist := ses.Predict(probe)
+		if label != wantLabel || dist != wantDist {
+			t.Fatalf("%d shards: serial loop (%s,%d), flat scan (%s,%d)", shards, label, dist, wantLabel, wantDist)
+		}
+		if shards == 1 {
+			continue
+		}
+		m := &obs.ServingMetrics{}
+		SetServingMetrics(m)
+		SetShardChaos(func(sh int) {
+			if sh == shards-1 {
+				panic("chaos")
+			}
+		})
+		label, dist, _, degraded := sv.PredictCtx(context.Background(), probe)
+		SetShardChaos(nil)
+		SetServingMetrics(nil)
+		if label != wantLabel || dist != wantDist || !degraded || m.DegradedScans.Value() != 1 {
+			t.Fatalf("%d shards, last down: (%s,%d) degraded=%v scans=%d; want (%s,%d) degraded",
+				shards, label, dist, degraded, m.DegradedScans.Value(), wantLabel, wantDist)
+		}
+	}
+}
+
+// TestServingPredictCtx pins the pooled-session predict the HTTP edge
+// runs: it reports the generation it scanned and recycles its session,
+// and a panic inside the predict leaves that session out of the pool.
+func TestServingPredictCtx(t *testing.T) {
+	sv, probe := servingFixture(t, 4)
+	wantLabel, wantDist := sv.Predict(probe)
+	label, dist, gen, degraded := sv.PredictCtx(context.Background(), probe)
+	if label != wantLabel || dist != wantDist || gen != sv.Generation() || degraded {
+		t.Fatalf("PredictCtx (%s,%d,gen %d,%v), want (%s,%d,gen %d,false)",
+			label, dist, gen, degraded, wantLabel, wantDist, sv.Generation())
+	}
+	// A learn published mid-scan: the predict reports the generation
+	// its own load saw, not the one current when it returns.
+	before := sv.Generation()
+	var once sync.Once
+	SetShardChaos(func(int) {
+		once.Do(func() {
+			if err := sv.Learn("g9", [][]float64{{9, 9, 9, 9}}); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	_, _, gen, _ = sv.PredictCtx(context.Background(), probe)
+	SetShardChaos(nil)
+	if gen != before || sv.Generation() != before+1 {
+		t.Fatalf("reported generation %d, want the scanned %d (now %d)", gen, before, sv.Generation())
+	}
+
+	// Drain the pool, then panic mid-predict: the session that panicked
+	// must not come back out of the pool.
+	ses := sv.session()
+	func() {
+		defer func() { recover() }()
+		sv.sessions.Put(ses)
+		sv.PredictCtx(context.Background(), [][]float64{{1}}) // short rows panic in encode
+	}()
+	if got, ok := sv.sessions.Get().(*Session); ok && got == ses {
+		t.Fatal("the session a panic escaped from went back into the pool")
 	}
 }

@@ -420,13 +420,29 @@ func (sv *Serving) session() *Session {
 // Predict classifies one window against the current generation. Safe
 // for any number of concurrent callers; the per-call encode scratch
 // comes from an internal session pool and the AM scan runs serially
-// on the caller. Hot loops that want guaranteed-zero allocation or a
-// worker pool hold their own Session instead.
+// on the caller (shard by shard when the AM is sharded). Hot loops
+// that want guaranteed-zero allocation or a worker pool hold their own
+// Session instead.
 func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
 	ses := sv.session()
 	label, distance = ses.Predict(window)
 	sv.sessions.Put(ses)
 	return label, distance
+}
+
+// PredictCtx is Session.PredictCtx with no pool over a pooled Session:
+// the serial shard loop runs on the caller, so any number of request
+// goroutines may call it concurrently. It also returns the generation
+// the predict actually scanned and whether it degraded to the flat
+// scan. A panic escaping the predict propagates with the Session left
+// out of the pool, so a caller that recovers and retries starts from a
+// fresh one.
+func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64, degraded bool) {
+	ses := sv.session()
+	label, distance = ses.PredictCtx(ctx, nil, window)
+	generation, degraded = ses.lastGen, ses.lastDegraded
+	sv.sessions.Put(ses)
+	return label, distance, generation, degraded
 }
 
 // Session is a per-goroutine serving handle: encode scratch plus the
@@ -513,7 +529,8 @@ func (s *Session) reduceOrFallback(am *ShardedAM, rec *obs.Spans, parent obs.Spa
 }
 
 // predict encodes window and searches the current generation, fanning
-// shards over pool when one is given.
+// shards over pool when one is given and looping over them on the
+// caller when not.
 func (s *Session) predict(pool *parallel.Pool, window [][]float64) (string, int) {
 	gen := s.sv.gen.Load()
 	am := gen.am
@@ -523,20 +540,32 @@ func (s *Session) predict(pool *parallel.Pool, window [][]float64) (string, int)
 	s.lastGen = gen.id
 	s.lastDegraded = false
 	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
+	idx, dist := s.search(am, pool, nil, obs.NoSpan)
+	return am.labels[idx], dist
+}
+
+// search scans am for the session's encoded query. A single-shard AM
+// takes the flat scan; otherwise every shard runs through searchShard —
+// fanned over pool, or serially on the caller when pool is nil — so
+// the chaos hook, the per-shard recover and the degraded fallback
+// guard both paths, and the result is bit-identical either way.
+func (s *Session) search(am *ShardedAM, pool *parallel.Pool, rec *obs.Spans, parent obs.SpanID) (int, int) {
 	n := am.Shards()
-	if pool == nil || n == 1 {
-		idx, dist := am.NearestInto(nil, s.ctx.query, nil)
-		return am.labels[idx], dist
+	if n == 1 {
+		return am.NearestInto(nil, s.ctx.query, nil)
 	}
 	if cap(s.scratch) < n {
 		s.scratch = make([]ShardBest, n)
 	}
 	s.scratch = s.scratch[:n]
-	s.am = am
-	pool.ForRange(n, s.fn)
-	s.am = nil
-	idx, dist := s.reduceOrFallback(am, nil, obs.NoSpan)
-	return am.labels[idx], dist
+	s.am, s.rec, s.searchSpan = am, rec, parent
+	if pool == nil {
+		s.fn(0, n)
+	} else {
+		pool.ForRange(n, s.fn)
+	}
+	s.am, s.rec, s.searchSpan = nil, nil, obs.NoSpan
+	return s.reduceOrFallback(am, rec, parent)
 }
 
 // PredictCtx classifies one window with request-scoped observability:
@@ -581,20 +610,7 @@ func (s *Session) predictStaged(rec *obs.Spans, m *obs.InferenceMetrics, parent 
 	search := rec.Start("am.search", parent)
 	rec.Annotate(search, "classes", int64(am.Classes()))
 	rec.Annotate(search, "generation", int64(gen.id))
-	n := am.Shards()
-	var idx, dist int
-	if pool == nil || n == 1 {
-		idx, dist = am.NearestInto(nil, s.ctx.query, nil)
-	} else {
-		if cap(s.scratch) < n {
-			s.scratch = make([]ShardBest, n)
-		}
-		s.scratch = s.scratch[:n]
-		s.am, s.rec, s.searchSpan = am, rec, search
-		pool.ForRange(n, s.fn)
-		s.am, s.rec, s.searchSpan = nil, nil, obs.NoSpan
-		idx, dist = s.reduceOrFallback(am, rec, search)
-	}
+	idx, dist := s.search(am, pool, rec, search)
 	rec.End(search)
 	m.RecordStages(encode, time.Since(searchStart))
 	return am.labels[idx], dist
@@ -611,7 +627,8 @@ func (s *Session) Generation() uint64 { return s.lastGen }
 // Generation.
 func (s *Session) Degraded() bool { return s.lastDegraded }
 
-// Predict classifies one window with a serial AM scan.
+// Predict classifies one window with a serial AM scan: the flat scan
+// for a single-shard AM, the shard loop on the caller otherwise.
 func (s *Session) Predict(window [][]float64) (label string, distance int) {
 	if m := metrics(); m != nil {
 		start := time.Now()

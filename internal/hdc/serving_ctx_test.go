@@ -109,7 +109,7 @@ func TestPredictCtxSpanTree(t *testing.T) {
 	}
 	// Parent staging must be restored for the caller's next stage.
 	if rec.Parent() != root {
-		// predictStaged sets SetParent never; the dispatcher re-stages
+		// predictStaged sets SetParent never; the handler stages it
 		// per request, so Parent is whatever the caller set last.
 		t.Errorf("Parent() = %d, want %d", rec.Parent(), root)
 	}

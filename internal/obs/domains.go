@@ -137,8 +137,8 @@ func (m *StreamMetrics) RecordFeedback(predicted, actual string) {
 }
 
 // ServingMetrics instruments the online-learning serving layer: the
-// copy-on-write model generations of hdc.Serving and the request
-// queue of the /predict–/learn HTTP front end.
+// copy-on-write model generations of hdc.Serving and the requests of
+// the /predict–/learn HTTP front end.
 type ServingMetrics struct {
 	// Learns counts Learn/Retrain publications; LearnNanos is the time
 	// from encode to generation publish.
@@ -150,29 +150,17 @@ type ServingMetrics struct {
 	Generation Gauge
 	Classes    Gauge
 	Shards     Gauge
-	// Requests counts /predict requests accepted into the queue;
-	// Rejected counts the ones bounced with 429 by backpressure.
+	// Requests counts /predict and /learn requests; Rejected counts
+	// the ones refused (429 backpressure, malformed bodies, draining).
 	Requests Counter
 	Rejected Counter
-	// Batches counts dispatcher drains; BatchRequests the requests
-	// they served, so BatchRequests/Batches is the mean batch size.
-	Batches       Counter
-	BatchRequests Counter
-	// QueueWaitNanos is the time a predict request spent in the
-	// bounded queue before the dispatcher picked it up — the serving
-	// stage the paper's on-device chain does not have, and the first
-	// place overload shows.
-	QueueWaitNanos Histogram
-	// BatchSizes distributes dispatcher drain sizes (powers-of-two
-	// buckets from 1, set up by NewHostMetrics).
-	BatchSizes Histogram
 	// Timeouts counts predict requests answered 504 because the
-	// per-request deadline expired before the dispatcher's result.
+	// per-request deadline expired before the predict ran.
 	Timeouts Counter
-	// Retries counts dispatcher predict attempts re-run after a
-	// recovered transient failure (the bounded-backoff retry loop).
+	// Retries counts predict attempts re-run after a recovered
+	// transient failure (the bounded-backoff retry loop).
 	Retries Counter
-	// PanicsRecovered counts worker/dispatcher panics converted into
+	// PanicsRecovered counts predict panics converted into retries or
 	// 500 responses instead of process death.
 	PanicsRecovered Counter
 	// DegradedScans counts predicts that lost a shard mid-search and
@@ -200,7 +188,7 @@ func (m *ServingMetrics) RecordTimeout() {
 	m.Timeouts.Inc()
 }
 
-// RecordRetry counts one re-attempted dispatcher predict.
+// RecordRetry counts one re-attempted predict.
 func (m *ServingMetrics) RecordRetry() {
 	if m == nil {
 		return
@@ -223,14 +211,6 @@ func (m *ServingMetrics) RecordDegraded() {
 		return
 	}
 	m.DegradedScans.Inc()
-}
-
-// RecordQueueWait folds one request's queue residency.
-func (m *ServingMetrics) RecordQueueWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.QueueWaitNanos.Observe(d)
 }
 
 // RecordPublish folds one generation publication into the metrics.
@@ -267,16 +247,6 @@ func (m *ServingMetrics) RecordRequest(accepted bool) {
 	if !accepted {
 		m.Rejected.Inc()
 	}
-}
-
-// RecordServeBatch folds one dispatcher drain of n requests.
-func (m *ServingMetrics) RecordServeBatch(n int) {
-	if m == nil {
-		return
-	}
-	m.Batches.Inc()
-	m.BatchRequests.Add(int64(n))
-	m.BatchSizes.ObserveNanos(int64(n))
 }
 
 // FaultMetrics instruments the fault-injection layer (internal/fault):

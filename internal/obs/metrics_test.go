@@ -43,7 +43,6 @@ func TestNilSafety(t *testing.T) {
 	svm.RecordModel(3, 5, 2)
 	svm.RecordRequest(true)
 	svm.RecordRequest(false)
-	svm.RecordServeBatch(8)
 }
 
 func TestGauge(t *testing.T) {
@@ -67,7 +66,6 @@ func TestServingMetrics(t *testing.T) {
 	m.RecordRequest(true)
 	m.RecordRequest(true)
 	m.RecordRequest(false)
-	m.RecordServeBatch(3)
 	if m.Generation.Value() != 2 || m.Classes.Value() != 6 || m.Shards.Value() != 4 {
 		t.Fatalf("gauges %d/%d/%d", m.Generation.Value(), m.Classes.Value(), m.Shards.Value())
 	}
@@ -76,9 +74,6 @@ func TestServingMetrics(t *testing.T) {
 	}
 	if m.Requests.Value() != 3 || m.Rejected.Value() != 1 {
 		t.Fatalf("requests/rejected %d/%d, want 3/1 (Requests counts rejected too)", m.Requests.Value(), m.Rejected.Value())
-	}
-	if m.Batches.Value() != 1 || m.BatchRequests.Value() != 3 {
-		t.Fatalf("batches/batchRequests %d/%d", m.Batches.Value(), m.BatchRequests.Value())
 	}
 }
 

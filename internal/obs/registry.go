@@ -411,7 +411,6 @@ func NewHostMetrics() *HostMetrics {
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
-	h.Serving.BatchSizes.SetBase(1)
 	r := h.Registry
 	r.RegisterCounter("pulphd_predict_total", "Predict calls", &h.Inference.Predicts)
 	r.RegisterHistogram("pulphd_predict_latency_ns", "Predict latency in nanoseconds", &h.Inference.PredictNanos)
@@ -435,15 +434,11 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterGauge("pulphd_serving_generation", "id of the published model generation", &h.Serving.Generation)
 	r.RegisterGauge("pulphd_serving_classes", "classes in the published generation", &h.Serving.Classes)
 	r.RegisterGauge("pulphd_serving_shards", "associative-memory shards in the published generation", &h.Serving.Shards)
-	r.RegisterCounter("pulphd_serving_requests_total", "/predict requests accepted into the queue", &h.Serving.Requests)
-	r.RegisterCounter("pulphd_serving_rejected_total", "/predict requests rejected by backpressure (429)", &h.Serving.Rejected)
-	r.RegisterCounter("pulphd_serving_batches_total", "request batches drained by the serving dispatcher", &h.Serving.Batches)
-	r.RegisterCounter("pulphd_serving_batch_requests_total", "requests served through dispatcher batches", &h.Serving.BatchRequests)
-	r.RegisterHistogram("pulphd_serving_queue_wait_ns", "predict queue residency before dispatch in nanoseconds", &h.Serving.QueueWaitNanos)
-	r.RegisterHistogram("pulphd_serving_batch_size", "dispatcher drain sizes (requests per batch; powers-of-two buckets)", &h.Serving.BatchSizes)
+	r.RegisterCounter("pulphd_serving_requests_total", "/predict and /learn requests, rejected ones included", &h.Serving.Requests)
+	r.RegisterCounter("pulphd_serving_rejected_total", "serving requests refused: 429 sheds, malformed bodies, draining", &h.Serving.Rejected)
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 at their deadline", &h.Serving.Timeouts)
-	r.RegisterCounter("pulphd_serving_retries_total", "dispatcher predict attempts retried after a recovered failure", &h.Serving.Retries)
-	r.RegisterCounter("pulphd_serving_panics_recovered_total", "worker/dispatcher panics converted into error responses", &h.Serving.PanicsRecovered)
+	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
+	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered into a retry or a 500 response", &h.Serving.PanicsRecovered)
 	r.RegisterCounter("pulphd_serving_degraded_scans_total", "predicts that fell back to the flat AM scan after a shard failure", &h.Serving.DegradedScans)
 	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
 	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)

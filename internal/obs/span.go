@@ -11,8 +11,8 @@ import (
 
 // This file is the request-scoped half of the observability layer: a
 // span recorder that rides a context.Context through the serving path
-// (HTTP handler → queue wait → batch formation → per-shard AM search
-// → generation swap), a bounded ring of completed request timelines,
+// (HTTP handler → JSON decode → encode → per-shard AM search →
+// generation swap), a bounded ring of completed request timelines,
 // and a Chrome trace-event exporter that renders those timelines —
 // alone or side by side with the simulator cycle Trace — in one
 // Perfetto view.
@@ -112,7 +112,7 @@ func (s *Spans) Reset(id uint64) {
 
 // SetParent stages the span that subtrees started by downstream layers
 // attach under. The serving path hands a request from handler to
-// dispatcher to model sequentially, so each stage sets the attachment
+// registry to model sequentially, so each stage sets the attachment
 // point before calling into the next; only the goroutine currently
 // driving the request may call it.
 func (s *Spans) SetParent(id SpanID) {
@@ -294,17 +294,6 @@ func (t *Timelines) Requests() int {
 	return len(t.done)
 }
 
-// snapshotLocked returns the held recorders oldest-first.
-func (t *Timelines) snapshot() []*Spans {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Spans, 0, len(t.done))
-	for i := 0; i < len(t.done); i++ {
-		out = append(out, t.done[(t.next+i)%len(t.done)])
-	}
-	return out
-}
-
 // tracePart is an event source composable into one Chrome trace file.
 // Both the simulator cycle Trace and the request Timelines implement
 // it; pid is the first free process id and the next free one is
@@ -320,7 +309,21 @@ type tracePart interface {
 // durations render in µs (the simulator's cycle traces map one cycle
 // to one µs — the shared timeline is for shape, not unit algebra).
 func (t *Timelines) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
-	for _, rec := range t.snapshot() {
+	return t.appendModel(evs, pid, "")
+}
+
+// appendModel renders the held recorders oldest-first, only model's
+// when model is non-empty. It holds the ring lock throughout: a
+// recorder evicted mid-render would be recycled and Reset under the
+// exporter.
+func (t *Timelines) appendModel(evs []traceEvent, pid int, model string) ([]traceEvent, int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.done {
+		rec := t.done[(t.next+i)%len(t.done)]
+		if model != "" && rec.Model != model {
+			continue
+		}
 		evs = appendSpanEvents(evs, rec, pid)
 		pid++
 	}
@@ -415,14 +418,7 @@ type modelFiltered struct {
 }
 
 func (f modelFiltered) appendTraceEvents(evs []traceEvent, pid int) ([]traceEvent, int) {
-	for _, rec := range f.t.snapshot() {
-		if rec.Model != f.model {
-			continue
-		}
-		evs = appendSpanEvents(evs, rec, pid)
-		pid++
-	}
-	return evs, pid
+	return f.t.appendModel(evs, pid, f.model)
 }
 
 // appendTraceEvents makes the cycle Trace composable with request

@@ -207,11 +207,11 @@ func TestTimelinesRingRecycles(t *testing.T) {
 	}
 }
 
-// TestTimelinesRecycleDistinct pins the recycle discipline a serving
-// path with handler/dispatcher recorder handoff depends on: a recorder
-// is never simultaneously live in two places — every Acquire hands out
-// a recorder distinct from every other outstanding one and from every
-// recorder held in the done ring.
+// TestTimelinesRecycleDistinct pins the recycle discipline the serving
+// path's recorder reuse depends on: a recorder is never simultaneously
+// live in two places — every Acquire hands out a recorder distinct
+// from every other outstanding one and from every recorder held in the
+// done ring.
 func TestTimelinesRecycleDistinct(t *testing.T) {
 	tl := NewTimelines(3, 4)
 	live := map[*Spans]bool{}
@@ -282,4 +282,15 @@ func TestSpansConcurrentStart(t *testing.T) {
 	if s.Len()+s.Dropped() != goroutines*each {
 		t.Fatalf("Len+Dropped = %d, want %d", s.Len()+s.Dropped(), goroutines*each)
 	}
+}
+
+// snapshot returns the held recorders oldest-first.
+func (t *Timelines) snapshot() []*Spans {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*Spans, 0, len(t.done))
+	for i := 0; i < len(t.done); i++ {
+		out = append(out, t.done[(t.next+i)%len(t.done)])
+	}
+	return out
 }

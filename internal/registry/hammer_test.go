@@ -100,12 +100,15 @@ func TestRegistryIsolationHammer(t *testing.T) {
 							}
 						}
 					default:
+						// Read the floor before the info: every generation
+						// observed so far must be ≤ what the info reports.
+						prev := lastGen[tenant].Load()
 						info, err := r.ModelInfo(name)
 						if err != nil {
 							fail("tenant %d info: %v", tenant, err)
 							return
 						}
-						if prev := lastGen[tenant].Load(); info.Resident && info.Generation < prev {
+						if info.Resident && info.Generation < prev {
 							fail("tenant %d generation went backwards: %d after %d", tenant, info.Generation, prev)
 							return
 						}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Runs the kernel and inference micro-benchmarks and stores the result
-# in benchmarks/latest.txt for review / comparison against the
-# committed baseline. The stored-vs-rematerialized encode stanza is
-# additionally summarized (median ns/op, B/op, allocs/op and resident
-# model bytes per backend) into benchmarks/BENCH_remat.json.
+# Runs the kernel, inference and /predict handler micro-benchmarks
+# and stores the result in benchmarks/latest.txt for review /
+# comparison against the committed baseline. The
+# stored-vs-rematerialized encode stanza is additionally summarized
+# (median ns/op, B/op, allocs/op and resident model bytes per backend)
+# into benchmarks/BENCH_remat.json.
 #
 # Usage: scripts/bench.sh [extra `go test` args]
 set -euo pipefail
@@ -25,6 +26,9 @@ go test -run '^$' \
 go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
+go test -run '^$' \
+  -bench 'BenchmarkPredictHandler$' \
+  -benchmem -count "$COUNT" ./cmd/pulphd/ "$@" | tee -a "$OUT"
 
 # Stored-vs-remat encode comparison: appended to latest.txt so the
 # regression gate covers it, and condensed into BENCH_remat.json.

@@ -92,8 +92,8 @@ fetch /metrics
 grep -q '^pulphd_serving_requests_total' "$TMP/body" \
   || fail "/metrics lacks pulphd_serving_requests_total"
 fetch /debug/spans
-grep -q '"queue.wait"' "$TMP/body" \
-  || fail "/debug/spans lacks the queue.wait span"
+grep -q '"decode"' "$TMP/body" \
+  || fail "/debug/spans lacks the decode span"
 "${CURL[@]}" -sf -o "$TMP/profile.pb" "$BASE/debug/pprof/profile?seconds=1" \
   || fail "/debug/pprof/profile failed"
 [ -s "$TMP/profile.pb" ] || fail "CPU profile is empty"
@@ -293,7 +293,7 @@ grep -q '"latency_ms":50' "$TMP/body" || slofail "/models/default/slo lacks the 
 fetch '/debug/flight?summary=1&model=default'
 grep -q '"trigger":"timeout"' "$TMP/body" || slofail "flight summary lacks a timeout capture"
 fetch '/debug/flight?model=default'
-grep -q '"queue.wait"' "$TMP/body" || slofail "flight trace lacks the queue.wait span"
+grep -q '"decode"' "$TMP/body" || slofail "flight trace lacks the decode span"
 grep -q 'default@' "$TMP/body" || slofail "flight trace process label lacks model@generation"
 
 # The breach auto-dumped a forensic trace next to the WAL.
