@@ -52,36 +52,9 @@ func TestOperationsDocCoverage(t *testing.T) {
 		t.Errorf("docs/OPERATIONS.md §2.1 documents flags `pulphd serve` does not have: %v", stale)
 	}
 
-	// Every metric family any role can export: host + runtime + SLO
-	// engine + replica syncer + front, all in one registry (the
-	// registry panics on duplicate names, which also proves the
-	// families are disjoint).
-	h := obs.NewHostMetrics()
-	obs.RegisterRuntimeMetrics(h.Registry)
-	sloeng.New(sloeng.Config{}).RegisterMetrics(h.Registry)
-	reg, err := modreg.Open(modreg.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	syncer, err := replica.NewSyncer(replica.SyncConfig{
-		Primary: "http://primary.invalid", Registry: reg, Shards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncer.RegisterMetrics(h.Registry)
-	front, err := replica.NewFront(replica.FrontConfig{
-		Primary: "http://primary.invalid", Replicas: []string{"http://replica.invalid"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front.RegisterMetrics(h.Registry)
-
 	missing = missing[:0]
 	registered := map[string]bool{}
-	for _, name := range h.Registry.Names() {
+	for _, name := range allRolesRegistry(t).Names() {
 		registered[name] = true
 		if !strings.Contains(doc, "`"+name+"`") {
 			missing = append(missing, name)
@@ -99,6 +72,69 @@ func TestOperationsDocCoverage(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("docs/OPERATIONS.md names metric families no role registers: %v", stale)
+	}
+}
+
+// allRolesRegistry returns one registry holding every metric family any
+// role can export: host + runtime + SLO engine + replica syncer +
+// front (the registry panics on duplicate names, which also proves the
+// families are disjoint).
+func allRolesRegistry(t *testing.T) *obs.Registry {
+	t.Helper()
+	h := obs.NewHostMetrics()
+	obs.RegisterRuntimeMetrics(h.Registry)
+	sloeng.New(sloeng.Config{}).RegisterMetrics(h.Registry)
+	reg, err := modreg.Open(modreg.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	syncer, err := replica.NewSyncer(replica.SyncConfig{
+		Primary: "http://primary.invalid", Registry: reg, Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncer.RegisterMetrics(h.Registry)
+	front, err := replica.NewFront(replica.FrontConfig{
+		Primary: "http://primary.invalid", Replicas: []string{"http://replica.invalid"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front.RegisterMetrics(h.Registry)
+	return h.Registry
+}
+
+// TestMetricVocabulary holds every exported family to one unit and
+// naming vocabulary, read from the exposition's TYPE lines: histograms
+// are latencies in seconds, counters end in _total, and no family
+// carries a nanosecond unit.
+func TestMetricVocabulary(t *testing.T) {
+	var buf strings.Builder
+	if err := allRolesRegistry(t).WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		families++
+		name, kind, _ := strings.Cut(rest, " ")
+		if kind == "histogram" && !strings.HasSuffix(name, "_seconds") {
+			t.Errorf("histogram %s does not end in _seconds", name)
+		}
+		if kind == "counter" && !strings.HasSuffix(name, "_total") {
+			t.Errorf("counter %s does not end in _total", name)
+		}
+		if strings.HasSuffix(name, "_ns") {
+			t.Errorf("family %s ends in _ns; export seconds", name)
+		}
+	}
+	if families == 0 {
+		t.Fatal("exposition has no TYPE lines")
 	}
 }
 

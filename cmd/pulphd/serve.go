@@ -122,9 +122,6 @@ func demoWorkload(p *experiments.Prepared, backend hdc.Backend, workers int, rou
 	return nil
 }
 
-// runServe implements the "pulphd serve" subcommand: enable the host
-// metrics, expose them over HTTP, and (unless -demo=false) drive the
-// demo workload so the counters move.
 // newServingModel builds the model behind /predict and /learn. With
 // demo data it is the paper's EMG classifier trained on one prepared
 // subject and snapshotted into a serving instance; without, it starts
@@ -199,6 +196,9 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	return sf
 }
 
+// runServe implements the "pulphd serve" subcommand: enable the host
+// metrics, expose them over HTTP, and (unless -demo=false) drive the
+// demo workload so the counters move.
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
@@ -319,8 +319,6 @@ func runServe(args []string) int {
 		return 1
 	}
 	classes, amShards := sv.Classes(), sv.AM().Shards()
-	h.Serving.RecordModel(sv.Generation(), classes, amShards)
-	h.Serving.RecordFootprint(sv.ResidentBytes())
 	api.log = logger
 	api.timeout = *predictTimeout
 	api.retries = *predictRetries

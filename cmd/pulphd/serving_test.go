@@ -258,8 +258,18 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Serving.RecordModel(sv.Generation(), sv.Classes(), sv.AM().Shards())
-	api := newEphemeralAPI(t, sv, 8, h.Serving)
+	reg, err := modreg.Open(modreg.Config{Shards: sv.Shards(), Metrics: h.Models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if err := reg.Adopt("default", sv); err != nil {
+		t.Fatal(err)
+	}
+	api, err := newAPIServer(reg, "default", sv.Config(), 8, h.Serving)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mux := newMetricsMux(h)
 	api.register(mux)
 	srv := httptest.NewServer(mux)
@@ -286,10 +296,9 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	}
 	metrics := string(data)
 	for _, want := range []string{
-		"pulphd_serving_generation 3",
-		"pulphd_serving_classes 3",
-		"pulphd_serving_shards 3", // 3 classes cap the 4 configured shards
-		"pulphd_serving_learns_total 3",
+		`pulphd_model_generation{model="default"} 3`,
+		`pulphd_model_classes{model="default"} 3`,
+		"pulphd_serving_learn_latency_seconds_count 3",
 		"pulphd_serving_requests_total 4",
 		"pulphd_serving_rejected_total 0",
 	} {

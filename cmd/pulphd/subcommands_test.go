@@ -126,15 +126,15 @@ func TestServeEndpoints(t *testing.T) {
 
 	metrics := get("/metrics")
 	for _, want := range []string{
-		"pulphd_predict_total", "pulphd_stream_samples_total",
-		"pulphd_stream_replays_total 1", "pulphd_pool_collectives_total",
+		"pulphd_predict_latency_seconds_count", "pulphd_stream_samples_total",
+		"pulphd_stream_replay_latency_seconds_count 1", "pulphd_pool_collectives_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
 		}
 	}
-	if strings.Contains(metrics, "pulphd_predict_total 0\n") {
-		t.Error("demo workload left pulphd_predict_total at zero")
+	if strings.Contains(metrics, "pulphd_predict_latency_seconds_count 0\n") {
+		t.Error("demo workload left pulphd_predict_latency_seconds_count at zero")
 	}
 
 	var vars map[string]json.RawMessage

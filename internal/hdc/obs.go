@@ -19,14 +19,14 @@ func SetMetrics(m *obs.InferenceMetrics) { metricsPtr.Store(m) }
 // metrics returns the installed sink, nil when disabled.
 func metrics() *obs.InferenceMetrics { return metricsPtr.Load() }
 
-// servingMetricsPtr holds the serving-layer metrics (generation
-// gauges, learn latency). Nil disables recording, as above.
+// servingMetricsPtr holds the serving-layer metrics (learn latency,
+// degraded scans). Nil disables recording, as above.
 var servingMetricsPtr atomic.Pointer[obs.ServingMetrics]
 
 // SetServingMetrics installs (or, with nil, removes) the metrics sink
-// for Serving: generation publications by Learn/Retrain with their
-// latency, plus the generation/classes/shards gauges. Safe to call at
-// any time, including while serving is running.
+// for Serving: the latency of each generation publication by
+// Learn/Retrain. Safe to call at any time, including while serving is
+// running.
 func SetServingMetrics(m *obs.ServingMetrics) { servingMetricsPtr.Store(m) }
 
 // servingMetrics returns the installed sink, nil when disabled.

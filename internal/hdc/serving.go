@@ -185,7 +185,7 @@ func (sv *Serving) AM() *ShardedAM { return sv.gen.Load().am }
 // generation in bytes: item memory + continuous item memory + AM
 // prototypes. With the rematerializing backend the IM+CIM term is
 // expansion keys rather than matrices — the footprint win the
-// pulphd_serving_model_resident_bytes gauge makes visible.
+// per-model pulphd_model_resident_bytes gauge makes visible.
 func (sv *Serving) ResidentBytes() int {
 	return sv.im.SizeBytes() + sv.cim.SizeBytes() + sv.gen.Load().am.SizeBytes()
 }
@@ -303,8 +303,7 @@ func (sv *Serving) learnEncoded(rec *obs.Spans, label string, encoded hv.Vector)
 	rec.Annotate(pub, "generation", int64(next.id))
 	rec.Annotate(pub, "classes", int64(next.am.Classes()))
 	if m != nil {
-		m.RecordPublish(next.id, next.am.Classes(), next.am.Shards(), time.Since(start))
-		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + next.am.SizeBytes())
+		m.RecordPublish(time.Since(start))
 	}
 	return nil
 }
@@ -403,8 +402,7 @@ func (sv *Serving) Retrain(pool *parallel.Pool, samples []Sample) error {
 	sv.gen.Store(next)
 	sv.mu.Unlock()
 	if m != nil {
-		m.RecordPublish(next.id, next.am.Classes(), next.am.Shards(), time.Since(start))
-		m.RecordFootprint(sv.im.SizeBytes() + sv.cim.SizeBytes() + next.am.SizeBytes())
+		m.RecordPublish(time.Since(start))
 	}
 	return nil
 }

@@ -10,12 +10,10 @@ import "time"
 
 // InferenceMetrics instruments hdc.Predict and PredictBatch.
 type InferenceMetrics struct {
-	// Predicts counts Predict calls; PredictNanos is their latency.
-	Predicts     Counter
+	// PredictNanos is Predict latency; its count is the call count.
 	PredictNanos Histogram
-	// BatchCalls / BatchWindows count PredictBatch invocations and
-	// the windows they classified; BatchNanos is whole-call latency.
-	BatchCalls   Counter
+	// BatchWindows counts the windows PredictBatch classified;
+	// BatchNanos is whole-call latency.
 	BatchWindows Counter
 	BatchNanos   Histogram
 	// BatchSerialFallbacks counts batch calls that ran without a
@@ -43,7 +41,6 @@ func (m *InferenceMetrics) RecordPredict(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.Predicts.Inc()
 	m.PredictNanos.Observe(d)
 }
 
@@ -53,7 +50,6 @@ func (m *InferenceMetrics) RecordBatch(n int, serial bool, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.BatchCalls.Inc()
 	m.BatchWindows.Add(int64(n))
 	m.BatchNanos.Observe(d)
 	if serial {
@@ -67,19 +63,12 @@ type StreamMetrics struct {
 	// Decisions counts decisions emitted.
 	Samples   Counter
 	Decisions Counter
-	// Replays counts Replay calls; ReplayNanos is their latency.
-	Replays     Counter
+	// ReplayNanos is Replay call latency.
 	ReplayNanos Histogram
-	// Corrections counts label-corrected windows folded back into an
-	// online learner via stream.Correct.
-	Corrections Counter
 	// PredictFailures counts pushed windows whose prediction panicked
 	// (e.g. a serving model with no classes yet) and were dropped
 	// instead of killing the stream.
 	PredictFailures Counter
-	// Drift, when non-nil, receives the predicted-vs-corrected label
-	// pairs stream.Correct observes (the online accuracy signal).
-	Drift *DriftMonitor
 }
 
 // RecordSample counts one pushed sample.
@@ -104,18 +93,9 @@ func (m *StreamMetrics) RecordReplay(samples, decisions int, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.Replays.Inc()
 	m.Samples.Add(int64(samples))
 	m.Decisions.Add(int64(decisions))
 	m.ReplayNanos.Observe(d)
-}
-
-// RecordCorrection counts one label-corrected window learned online.
-func (m *StreamMetrics) RecordCorrection() {
-	if m == nil {
-		return
-	}
-	m.Corrections.Inc()
 }
 
 // RecordPredictFailure counts one dropped decision whose prediction
@@ -127,29 +107,14 @@ func (m *StreamMetrics) RecordPredictFailure() {
 	m.PredictFailures.Inc()
 }
 
-// RecordFeedback forwards one predicted-vs-actual label pair to the
-// drift monitor (a no-op without one installed).
-func (m *StreamMetrics) RecordFeedback(predicted, actual string) {
-	if m == nil {
-		return
-	}
-	m.Drift.RecordFeedback(predicted, actual)
-}
-
 // ServingMetrics instruments the online-learning serving layer: the
 // copy-on-write model generations of hdc.Serving and the requests of
-// the /predict–/learn HTTP front end.
+// the /predict–/learn HTTP front end. The published model's own state
+// (generation, classes, footprint) is per model, in RegistryMetrics.
 type ServingMetrics struct {
-	// Learns counts Learn/Retrain publications; LearnNanos is the time
-	// from encode to generation publish.
-	Learns     Counter
+	// LearnNanos is the time from encode to generation publish of each
+	// Learn/Retrain; its count is the publication count.
 	LearnNanos Histogram
-	// Generation is the id of the currently published model snapshot
-	// (monotonically increasing); Classes and Shards describe its
-	// associative-memory layout.
-	Generation Gauge
-	Classes    Gauge
-	Shards     Gauge
 	// Requests counts /predict and /learn requests; Rejected counts
 	// the ones refused (429 backpressure, malformed bodies, draining).
 	Requests Counter
@@ -166,18 +131,6 @@ type ServingMetrics struct {
 	// DegradedScans counts predicts that lost a shard mid-search and
 	// fell back to the flat associative-memory scan.
 	DegradedScans Counter
-	// ModelBytes is the resident footprint of the published model
-	// generation (IM + CIM + AM prototypes) in bytes — the gauge that
-	// makes the rematerializing backend's footprint win visible.
-	ModelBytes Gauge
-}
-
-// RecordFootprint updates the resident model footprint gauge.
-func (m *ServingMetrics) RecordFootprint(bytes int) {
-	if m == nil {
-		return
-	}
-	m.ModelBytes.Set(int64(bytes))
 }
 
 // RecordTimeout counts one predict request that hit its deadline.
@@ -213,27 +166,13 @@ func (m *ServingMetrics) RecordDegraded() {
 	m.DegradedScans.Inc()
 }
 
-// RecordPublish folds one generation publication into the metrics.
-func (m *ServingMetrics) RecordPublish(generation uint64, classes, shards int, d time.Duration) {
+// RecordPublish folds one generation publication that took d into
+// the metrics.
+func (m *ServingMetrics) RecordPublish(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.Learns.Inc()
 	m.LearnNanos.Observe(d)
-	m.Generation.Set(int64(generation))
-	m.Classes.Set(int64(classes))
-	m.Shards.Set(int64(shards))
-}
-
-// RecordModel updates the generation gauges without counting a learn
-// (initial publication, server startup).
-func (m *ServingMetrics) RecordModel(generation uint64, classes, shards int) {
-	if m == nil {
-		return
-	}
-	m.Generation.Set(int64(generation))
-	m.Classes.Set(int64(classes))
-	m.Shards.Set(int64(shards))
 }
 
 // RecordRequest counts one serving request. Requests counts every

@@ -6,19 +6,17 @@ import (
 )
 
 // This file is the online accuracy/drift monitor of the serving
-// stack. The feedback signal is stream.Correct: when the wearer (or a
-// downstream consumer) corrects a decision, we learn what the model
-// predicted and what the window actually was — a labelled sample of
-// serving accuracy. The monitor keeps exact per-class confusion
-// counters for the lifetime of the process and a rolling agreement
-// window that surfaces drift: a falling rolling accuracy while the
-// cumulative one holds means the data moved from under the model.
+// stack, plus the two-label counter family. The feedback signal is a
+// correcting /learn: when a client corrects a decision, the registry
+// learns what the model predicted and what the window actually was —
+// a labelled sample of serving accuracy. The monitor keeps a rolling
+// agreement window that surfaces drift: a falling rolling accuracy
+// means the data moved from under the model.
 
 // CounterVec is a family of counters distinguished by a fixed pair of
-// label names — the minimal labelled-metric support the confusion
-// matrix needs. Cell lookup takes a read lock (feedback is orders of
-// magnitude rarer than predictions, so this is nowhere near a hot
-// path); the returned *Counter is the usual lock-free atomic.
+// label names, such as per-(model, op) registry requests. Cell lookup
+// takes a read lock (registry operations, not hot-path predicts,
+// touch it); the returned *Counter is the usual lock-free atomic.
 type CounterVec struct {
 	mu    sync.RWMutex
 	names [2]string
@@ -87,30 +85,13 @@ func (v *CounterVec) Snapshot() []VecCell {
 const driftWindow = 256
 
 // DriftMonitor accumulates prediction-vs-correction feedback. The
-// zero value is not ready — construct with NewDriftMonitor (the
-// confusion family needs its label names) — but every method is
-// nil-safe, so an uninstalled monitor is free.
+// zero value is ready to use, and every method is nil-safe, so an
+// uninstalled monitor is free.
 type DriftMonitor struct {
-	confusion *CounterVec
-
 	mu      sync.Mutex
 	ring    [driftWindow]bool
 	n       int // total feedbacks ever
 	correct int // agreements currently in the ring
-}
-
-// NewDriftMonitor returns an empty monitor whose confusion matrix is
-// labelled (predicted, actual).
-func NewDriftMonitor() *DriftMonitor {
-	return &DriftMonitor{confusion: NewCounterVec("predicted", "actual")}
-}
-
-// Confusion exposes the per-class confusion family for registration.
-func (d *DriftMonitor) Confusion() *CounterVec {
-	if d == nil {
-		return nil
-	}
-	return d.confusion
 }
 
 // RecordFeedback folds one corrected decision in: the model said
@@ -119,7 +100,6 @@ func (d *DriftMonitor) RecordFeedback(predicted, actual string) {
 	if d == nil {
 		return
 	}
-	d.confusion.With(predicted, actual).Inc()
 	ok := predicted == actual
 	d.mu.Lock()
 	slot := d.n % driftWindow
@@ -132,28 +112,6 @@ func (d *DriftMonitor) RecordFeedback(predicted, actual string) {
 	}
 	d.n++
 	d.mu.Unlock()
-}
-
-// Feedbacks returns how many corrections have been recorded.
-func (d *DriftMonitor) Feedbacks() int64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(d.n)
-}
-
-// Mismatches returns how many recorded feedbacks disagreed with the
-// prediction, over the whole process lifetime.
-func (d *DriftMonitor) Mismatches() int64 {
-	var miss int64
-	for _, c := range d.Confusion().Snapshot() {
-		if c.Values[0] != c.Values[1] {
-			miss += c.Count
-		}
-	}
-	return miss
 }
 
 // RollingAccuracyPermille returns the agreement rate over the last

@@ -81,85 +81,56 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// HistogramBuckets is the fixed bucket count of every Histogram. The
-// first bucket spans [0, 256 ns) and each subsequent one doubles the
-// upper bound, so the last finite bound is 256ns·2²² ≈ 1.07 s; the
-// final bucket is the +Inf overflow. Fixed geometry keeps Observe
-// allocation-free and the exposition format stable.
+// HistogramBuckets is the fixed bucket count of every Histogram.
+// Bucket 0 holds [0, 256 ns] and bucket i holds (256<<(i-1), 256<<i]
+// ns, so the last finite bound is 256ns·2²² ≈ 1.07 s; the final bucket
+// is the +Inf overflow. Fixed geometry keeps Observe allocation-free
+// and the exposition format stable.
 const HistogramBuckets = 24
 
 // histBase is the upper bound of bucket 0 in nanoseconds.
 const histBase = 256
 
-// Histogram is a fixed-bucket histogram with exponential
-// (powers-of-two) bounds. The zero value is a latency histogram with
-// a 256 ns first bucket, ready to use; SetBase rescales the geometry
-// for other units (a base of 1 buckets small counts such as batch
-// sizes by powers of two). A nil *Histogram is a no-op.
+// Histogram is a fixed-bucket latency histogram with powers-of-two
+// bounds (see HistogramBuckets). It observes nanoseconds and the
+// registry exports it in seconds. The zero value is ready to use; a
+// nil *Histogram is a no-op.
 type Histogram struct {
 	counts [HistogramBuckets]atomic.Int64
 	sum    atomic.Int64
-	base   atomic.Int64 // 0 means histBase
 }
 
-// SetBase sets the upper bound of bucket 0 (and thereby the whole
-// powers-of-two geometry). Call it at setup time, before the first
-// Observe; base < 1 resets to the 256 ns default.
-func (h *Histogram) SetBase(base int64) {
-	if h == nil {
-		return
+// bucketFor maps a nanosecond value to its bucket index; bounds are
+// inclusive, as Prometheus reads le.
+func bucketFor(ns int64) int {
+	if ns <= histBase {
+		return 0
 	}
-	if base < 1 {
-		base = 0
-	}
-	h.base.Store(base)
-}
-
-// Base returns the upper bound of bucket 0.
-func (h *Histogram) Base() int64 {
-	if h == nil {
-		return histBase
-	}
-	if b := h.base.Load(); b > 0 {
-		return b
-	}
-	return histBase
-}
-
-// bucketFor maps a value to its bucket index for the given base.
-func bucketFor(ns, base int64) int {
-	if ns < 0 {
-		ns = 0
-	}
-	idx := bits.Len64(uint64(ns) / uint64(base))
+	idx := bits.Len64(uint64(ns-1) / histBase)
 	if idx >= HistogramBuckets {
 		idx = HistogramBuckets - 1
 	}
 	return idx
 }
 
-// BucketBound returns the inclusive upper bound of bucket i in the
-// default 256 ns geometry, or -1 for the +Inf overflow bucket.
-func BucketBound(i int) int64 { return bucketBound(i, histBase) }
-
-// bucketBound is BucketBound for an arbitrary base.
-func bucketBound(i int, base int64) int64 {
+// BucketBound returns the inclusive upper bound of bucket i in
+// nanoseconds, or -1 for the +Inf overflow bucket.
+func BucketBound(i int) int64 {
 	if i >= HistogramBuckets-1 {
 		return -1
 	}
-	return base<<i - 1
+	return histBase << i
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveNanos(int64(d)) }
 
-// ObserveNanos records one nanosecond measurement (or, after SetBase,
-// one measurement in the histogram's unit).
+// ObserveNanos records one nanosecond measurement.
 func (h *Histogram) ObserveNanos(ns int64) {
 	if h == nil {
 		return
 	}
-	h.counts[bucketFor(ns, h.Base())].Add(1)
+	h.counts[bucketFor(ns)].Add(1)
 	h.sum.Add(ns)
 }
 
@@ -168,41 +139,24 @@ func (h *Histogram) ObserveNanos(ns int64) {
 // Counts, so Count always equals the cumulative +Inf bucket that the
 // Prometheus exposition writes — even when the snapshot is taken
 // mid-update. SumNs is read separately and may be off by the handful
-// of in-flight observations (it only feeds the mean); the structural
-// invariant the scrape format needs — Σ Counts == Count — holds by
-// construction.
+// of in-flight observations; the structural invariant the scrape
+// format needs — Σ Counts == Count — holds by construction.
 type HistogramSnapshot struct {
 	Counts [HistogramBuckets]int64
 	SumNs  int64
 	Count  int64
-	// Base is the bucket-0 upper bound of the source histogram, so
-	// exporters compute the right bucket bounds for any geometry.
-	Base int64
 }
-
-// BucketBound returns the inclusive upper bound of bucket i in the
-// snapshot's geometry, or -1 for the +Inf overflow bucket.
-func (s HistogramSnapshot) BucketBound(i int) int64 { return bucketBound(i, s.Base) }
 
 // Snapshot copies the current state; the zero snapshot for nil.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Base: histBase}
+	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	s.Base = h.Base()
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 		s.Count += s.Counts[i]
 	}
 	s.SumNs = h.sum.Load()
 	return s
-}
-
-// Mean returns the mean observation in nanoseconds, 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNs) / float64(s.Count)
 }

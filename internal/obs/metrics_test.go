@@ -39,8 +39,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil gauge holds a value")
 	}
 	var svm *ServingMetrics
-	svm.RecordPublish(3, 5, 2, time.Millisecond)
-	svm.RecordModel(3, 5, 2)
+	svm.RecordPublish(time.Millisecond)
 	svm.RecordRequest(true)
 	svm.RecordRequest(false)
 }
@@ -61,16 +60,12 @@ func TestGauge(t *testing.T) {
 
 func TestServingMetrics(t *testing.T) {
 	var m ServingMetrics
-	m.RecordModel(1, 5, 4)
-	m.RecordPublish(2, 6, 4, time.Millisecond)
+	m.RecordPublish(time.Millisecond)
 	m.RecordRequest(true)
 	m.RecordRequest(true)
 	m.RecordRequest(false)
-	if m.Generation.Value() != 2 || m.Classes.Value() != 6 || m.Shards.Value() != 4 {
-		t.Fatalf("gauges %d/%d/%d", m.Generation.Value(), m.Classes.Value(), m.Shards.Value())
-	}
-	if m.Learns.Value() != 1 {
-		t.Fatalf("learns %d, want 1 (RecordModel must not count)", m.Learns.Value())
+	if s := m.LearnNanos.Snapshot(); s.Count != 1 || s.SumNs != int64(time.Millisecond) {
+		t.Fatalf("learn latency count/sum %d/%d, want 1/%d", s.Count, s.SumNs, time.Millisecond)
 	}
 	if m.Requests.Value() != 3 || m.Rejected.Value() != 1 {
 		t.Fatalf("requests/rejected %d/%d, want 3/1 (Requests counts rejected too)", m.Requests.Value(), m.Rejected.Value())
@@ -136,11 +131,11 @@ func TestHistogramBuckets(t *testing.T) {
 		ns     int64
 		bucket int
 	}{
-		{0, 0}, {255, 0}, {256, 1}, {511, 1}, {512, 2},
-		{1 << 20, 13}, {1 << 62, HistogramBuckets - 1}, {-5, 0},
+		{0, 0}, {255, 0}, {256, 0}, {257, 1}, {511, 1}, {512, 1}, {513, 2},
+		{1 << 20, 12}, {1<<20 + 1, 13}, {1 << 62, HistogramBuckets - 1}, {-5, 0},
 	}
 	for _, tc := range cases {
-		if got := bucketFor(tc.ns, histBase); got != tc.bucket {
+		if got := bucketFor(tc.ns); got != tc.bucket {
 			t.Errorf("bucketFor(%d) = %d, want %d", tc.ns, got, tc.bucket)
 		}
 		h.ObserveNanos(tc.ns)
@@ -149,20 +144,22 @@ func TestHistogramBuckets(t *testing.T) {
 	if s.Count != int64(len(cases)) {
 		t.Fatalf("count %d, want %d", s.Count, len(cases))
 	}
-	// Bounds are monotone and the last is +Inf.
-	prev := int64(-1)
+	// Bounds double from 256 ns, each is inclusive (the bound itself
+	// lands in its bucket, one more in the next), and the last is +Inf.
 	for i := 0; i < HistogramBuckets-1; i++ {
 		b := BucketBound(i)
-		if b <= prev {
-			t.Fatalf("bucket %d bound %d not increasing", i, b)
+		if b != histBase<<i {
+			t.Fatalf("bucket %d bound %d, want %d", i, b, histBase<<i)
 		}
-		prev = b
+		if bucketFor(b) != i || bucketFor(b+1) != i+1 {
+			t.Fatalf("bound %d: buckets %d/%d, want %d/%d", b, bucketFor(b), bucketFor(b+1), i, i+1)
+		}
 	}
 	if BucketBound(HistogramBuckets-1) != -1 {
 		t.Fatal("last bucket is not +Inf")
 	}
-	if m := s.Mean(); m <= 0 {
-		t.Fatalf("mean %f", m)
+	if s.SumNs <= 0 {
+		t.Fatalf("sum %d", s.SumNs)
 	}
 }
 
@@ -199,25 +196,23 @@ func TestPrometheusExposition(t *testing.T) {
 	h := NewHostMetrics()
 	h.Inference.RecordPredict(1500 * time.Nanosecond)
 	h.Inference.RecordBatch(64, true, time.Millisecond)
-	h.Serving.RecordPublish(7, 64, 8, time.Microsecond)
+	h.Serving.RecordPublish(time.Microsecond)
 	var buf bytes.Buffer
 	if err := h.Registry.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE pulphd_predict_total counter",
-		"pulphd_predict_total 1",
-		"# TYPE pulphd_serving_generation gauge",
-		"pulphd_serving_generation 7",
-		"pulphd_serving_classes 64",
-		"pulphd_serving_shards 8",
-		"pulphd_serving_learns_total 1",
+		"pulphd_serving_learn_latency_seconds_count 1",
+		"pulphd_serving_learn_latency_seconds_sum 1e-06",
 		"pulphd_predict_batch_windows_total 64",
 		"pulphd_predict_batch_serial_fallbacks_total 1",
-		"# TYPE pulphd_predict_latency_ns histogram",
-		`pulphd_predict_latency_ns_bucket{le="+Inf"} 1`,
-		"pulphd_predict_latency_ns_count 1",
+		"# TYPE pulphd_predict_latency_seconds histogram",
+		`pulphd_predict_latency_seconds_bucket{le="1.024e-06"} 0`,
+		`pulphd_predict_latency_seconds_bucket{le="2.048e-06"} 1`,
+		`pulphd_predict_latency_seconds_bucket{le="+Inf"} 1`,
+		"pulphd_predict_latency_seconds_sum 1.5e-06",
+		"pulphd_predict_latency_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, out)
@@ -225,8 +220,32 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	// Histogram bucket counts must be cumulative: the +Inf bucket of
 	// the batch histogram equals its count.
-	if !strings.Contains(out, `pulphd_predict_batch_latency_ns_bucket{le="+Inf"} 1`) {
+	if !strings.Contains(out, `pulphd_predict_batch_latency_seconds_bucket{le="+Inf"} 1`) {
 		t.Error("batch histogram +Inf bucket is not cumulative")
+	}
+}
+
+// TestHistogramLeInclusive pins the exported bucket bounds to the
+// Prometheus reading of le as an inclusive upper bound: an observation
+// of exactly 256 ns counts under le="2.56e-07", one of exactly 512 ns
+// under le="5.12e-07".
+func TestHistogramLeInclusive(t *testing.T) {
+	h := NewHostMetrics()
+	h.Models.RecordWALFsync(256 * time.Nanosecond)
+	h.Models.RecordWALFsync(512 * time.Nanosecond)
+	var buf bytes.Buffer
+	if err := h.Registry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		`pulphd_registry_wal_fsync_seconds_bucket{le="2.56e-07"} 1`,
+		`pulphd_registry_wal_fsync_seconds_bucket{le="5.12e-07"} 2`,
+		"pulphd_registry_wal_fsync_seconds_count 2",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }
 
@@ -249,9 +268,9 @@ func TestSnapshotAndExpvar(t *testing.T) {
 	if got := snap["pulphd_stream_samples_total"]; got != int64(500) {
 		t.Fatalf("snapshot samples %v", got)
 	}
-	hist, ok := snap["pulphd_stream_replay_latency_ns"].(map[string]any)
-	if !ok || hist["count"] != int64(1) {
-		t.Fatalf("snapshot histogram %v", snap["pulphd_stream_replay_latency_ns"])
+	hist, ok := snap["pulphd_stream_replay_latency_seconds"].(map[string]any)
+	if !ok || hist["count"] != int64(1) || hist["sum_seconds"] != 0.002 {
+		t.Fatalf("snapshot histogram %v", snap["pulphd_stream_replay_latency_seconds"])
 	}
 	// Publishing twice under one name must not panic.
 	h.Registry.PublishExpvar("pulphd_test_metrics")

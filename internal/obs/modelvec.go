@@ -117,16 +117,14 @@ type RegistryMetrics struct {
 	Evictions Counter
 	FaultIns  Counter
 	// WALAppends counts records logged; WALReplayed counts records
-	// replayed onto snapshots during fault-in/recovery; Snapshots
-	// counts per-model snapshot writes; SnapshotNanos their latency.
+	// replayed onto snapshots during fault-in/recovery; SnapshotNanos
+	// times per-model snapshot writes.
 	WALAppends    Counter
 	WALReplayed   Counter
-	Snapshots     Counter
 	SnapshotNanos Histogram
-	// WALFsyncNanos times the fsync after each durable WAL append
-	// (exported seconds-scaled as pulphd_registry_wal_fsync_seconds);
+	// WALFsyncNanos times the fsync after each durable WAL append;
 	// FaultInNanos times whole cold-model loads, snapshot read plus WAL
-	// replay (exported as pulphd_registry_faultin_seconds).
+	// replay.
 	WALFsyncNanos Histogram
 	FaultInNanos  Histogram
 	// Per-model families, labelled by model name.
@@ -196,7 +194,6 @@ func (m *RegistryMetrics) RecordSnapshot(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.Snapshots.Inc()
 	m.SnapshotNanos.Observe(d)
 }
 

@@ -135,15 +135,13 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	h.Stream.RecordSample()
 	h.Stream.RecordDecision()
 	h.Stream.RecordReplay(10, 2, time.Millisecond)
-	h.Stream.RecordCorrection()
 	hostile := "cl\\ass\n\"A\""
-	h.Stream.RecordFeedback(hostile, hostile)
-	h.Stream.RecordFeedback("rest", "fist")
-	h.Serving.RecordPublish(3, 5, 4, time.Microsecond)
+	h.Serving.RecordPublish(time.Microsecond)
 	h.Serving.RecordRequest(true)
 	h.Pool.RecordCollective(4, 4)
 	h.Models.RecordFleet(2, 1, 4096)
 	h.Models.RecordOp("emg", "learn")
+	h.Models.RecordOp(hostile, "predict")
 	h.Models.RecordModelState("emg", 7, 5, 4096, 3)
 	h.Models.RecordRollingAccuracy("emg", 875)
 	h.Models.RecordWALAppend()
@@ -186,10 +184,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The hostile confusion label survived the round trip.
+	// The hostile model label survived the round trip.
 	found := false
-	for _, s := range byName["pulphd_stream_confusion_total"] {
-		if s.labels["predicted"] == hostile && s.labels["actual"] == hostile {
+	for _, s := range byName["pulphd_model_requests_total"] {
+		if s.labels["model"] == hostile && s.labels["op"] == "predict" {
 			found = true
 			if s.value != 1 {
 				t.Errorf("hostile cell value %v, want 1", s.value)
@@ -242,10 +240,11 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The registry-lifecycle seconds histograms: typed histogram, bounds
-	// rendered in seconds (the first le is well under a second), and the
-	// recorded durations land in _sum at seconds scale.
+	// Histograms export in seconds: typed histogram, bounds rendered in
+	// seconds (the first le is well under a second), and the recorded
+	// durations land in _sum at seconds scale.
 	wantSum := map[string]float64{
+		"pulphd_predict_latency_seconds":    300e-9,
 		"pulphd_registry_wal_fsync_seconds": 500e-6,
 		"pulphd_registry_faultin_seconds":   2e-3,
 	}
@@ -309,24 +308,16 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Errorf("content type %q", PrometheusContentType)
 	}
 
-	// The drift gauges exposed what RecordFeedback saw: 2 feedbacks,
-	// 1 mismatch, rolling accuracy 500‰.
-	want := map[string]float64{
-		"pulphd_stream_feedback_total":            2,
-		"pulphd_stream_feedback_mismatches":       1,
-		"pulphd_stream_rolling_accuracy_permille": 500,
-	}
-	for name, v := range want {
-		ss := byName[name]
-		if len(ss) != 1 || ss[0].value != v {
-			t.Errorf("%s = %+v, want %v", name, ss, v)
-		}
+	// The per-model drift gauge exposed what RecordRollingAccuracy saw.
+	ss := byName["pulphd_model_rolling_accuracy_permille"]
+	if len(ss) != 1 || ss[0].labels["model"] != "emg" || ss[0].value != 875 {
+		t.Errorf("pulphd_model_rolling_accuracy_permille = %+v, want emg 875", ss)
 	}
 }
 
 // TestDriftMonitor pins the rolling-window arithmetic, including wrap.
 func TestDriftMonitor(t *testing.T) {
-	d := NewDriftMonitor()
+	d := &DriftMonitor{}
 	if d.RollingAccuracyPermille() != -1 {
 		t.Fatal("empty monitor should report -1 (no signal)")
 	}
@@ -335,9 +326,6 @@ func TestDriftMonitor(t *testing.T) {
 	if got := d.RollingAccuracyPermille(); got != 500 {
 		t.Fatalf("rolling accuracy %d, want 500", got)
 	}
-	if d.Feedbacks() != 2 || d.Mismatches() != 1 {
-		t.Fatalf("feedbacks=%d mismatches=%d", d.Feedbacks(), d.Mismatches())
-	}
 	// Fill a whole window with agreements: the early miss ages out.
 	for i := 0; i < driftWindow; i++ {
 		d.RecordFeedback("x", "x")
@@ -345,27 +333,12 @@ func TestDriftMonitor(t *testing.T) {
 	if got := d.RollingAccuracyPermille(); got != 1000 {
 		t.Fatalf("rolling accuracy after wrap %d, want 1000", got)
 	}
-	// Lifetime confusion keeps the miss forever.
-	if d.Mismatches() != 1 {
-		t.Fatalf("mismatches after wrap %d, want 1", d.Mismatches())
-	}
-	cells := d.Confusion().Snapshot()
-	var total int64
-	for _, c := range cells {
-		total += c.Count
-	}
-	if total != int64(driftWindow+2) {
-		t.Fatalf("confusion total %d, want %d", total, driftWindow+2)
-	}
 
 	// Nil monitor: every method is a no-op.
 	var nd *DriftMonitor
 	nd.RecordFeedback("a", "b")
-	if nd.Feedbacks() != 0 || nd.Mismatches() != 0 || nd.RollingAccuracyPermille() != -1 {
+	if nd.RollingAccuracyPermille() != -1 {
 		t.Fatal("nil monitor reports state")
-	}
-	if nd.Confusion() != nil {
-		t.Fatal("nil monitor has a confusion family")
 	}
 }
 
@@ -398,17 +371,17 @@ func TestRuntimeMetricsRegister(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)
 	snap := r.Snapshot()
-	if g, ok := snap["pulphd_go_goroutines"].(int64); !ok || g < 1 {
+	if g, ok := snap["pulphd_go_goroutines"].(float64); !ok || g < 1 {
 		t.Errorf("goroutines gauge = %v", snap["pulphd_go_goroutines"])
 	}
-	if g, ok := snap["pulphd_go_heap_goal_bytes"].(int64); !ok || g <= 0 {
+	if g, ok := snap["pulphd_go_heap_goal_bytes"].(float64); !ok || g <= 0 {
 		t.Errorf("heap goal gauge = %v", snap["pulphd_go_heap_goal_bytes"])
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"pulphd_go_goroutines", "pulphd_go_heap_objects_bytes", "pulphd_go_gc_cycles", "pulphd_go_gc_pause_cpu_ns"} {
+	for _, name := range []string{"pulphd_go_goroutines", "pulphd_go_heap_objects_bytes", "pulphd_go_gc_cycles", "pulphd_go_gc_pause_cpu_seconds"} {
 		if !strings.Contains(buf.String(), fmt.Sprintf("# TYPE %s gauge", name)) {
 			t.Errorf("exposition lacks %s", name)
 		}

@@ -23,7 +23,6 @@ type Registry struct {
 	gaugeVecs     []namedGaugeVec
 	gaugeVecFuncs []namedGaugeVecFunc
 	hists         []namedHistogram
-	secondsHists  []namedHistogram
 	names         map[string]bool
 }
 
@@ -39,7 +38,7 @@ type namedGauge struct {
 
 type namedGaugeFunc struct {
 	name, help string
-	fn         func() int64
+	fn         func() float64
 }
 
 type namedCounterVec struct {
@@ -105,9 +104,10 @@ func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
 }
 
 // RegisterGaugeFunc exposes fn as a gauge sampled at scrape time —
-// the hook the runtime/metrics collector and the drift monitor hang
-// their derived values on. fn must be safe for concurrent calls.
-func (r *Registry) RegisterGaugeFunc(name, help string, fn func() int64) {
+// the hook the runtime/metrics collector and the replica lag clock
+// hang their derived values on. Values are floats so durations can
+// be exported in seconds. fn must be safe for concurrent calls.
+func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.claim(name)
@@ -142,8 +142,9 @@ func (r *Registry) RegisterGaugeVecFunc(name, help, label string, fn func() []Ga
 	r.gaugeVecFuncs = append(r.gaugeVecFuncs, namedGaugeVecFunc{name, help, label, fn})
 }
 
-// RegisterHistogram exposes h under name; bucket bounds are exported
-// in nanoseconds (suffix the name _ns to keep the unit visible).
+// RegisterHistogram exposes h under name. h observes nanoseconds; its
+// bucket bounds and sum are exported in seconds, the Prometheus base
+// unit, so name it with a _seconds suffix.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,16 +152,11 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.hists = append(r.hists, namedHistogram{name, help, h})
 }
 
-// RegisterSecondsHistogram exposes h — which observes durations in
-// nanoseconds like every obs.Histogram — with bucket bounds and sum
-// scaled to seconds on export, so Prometheus-convention `_seconds`
-// names carry their conventional unit.
-func (r *Registry) RegisterSecondsHistogram(name, help string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	r.secondsHists = append(r.secondsHists, namedHistogram{name, help, h})
-}
+// formatFloat renders a sample value the way the text format reads
+// it: the shortest decimal that round-trips.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func seconds(ns int64) float64 { return float64(ns) / 1e9 }
 
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4). HELP text and label values
@@ -211,7 +207,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if err := writeHelp(g.name, g.help); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.fn()); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", g.name, g.name, formatFloat(g.fn())); err != nil {
 			return err
 		}
 	}
@@ -256,38 +252,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i, n := range s.Counts {
 			cum += n
 			le := "+Inf"
-			if b := s.BucketBound(i); b >= 0 {
-				le = fmt.Sprintf("%d", b+1)
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", h.name, s.SumNs, h.name, s.Count); err != nil {
-			return err
-		}
-	}
-	for _, h := range r.secondsHists {
-		if err := writeHelp(h.name, h.help); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", h.name); err != nil {
-			return err
-		}
-		s := h.h.Snapshot()
-		cum := int64(0)
-		for i, n := range s.Counts {
-			cum += n
-			le := "+Inf"
-			if b := s.BucketBound(i); b >= 0 {
-				le = strconv.FormatFloat(float64(b+1)/1e9, 'g', -1, 64)
+			if b := BucketBound(i); b >= 0 {
+				le = formatFloat(seconds(b))
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
-			h.name, strconv.FormatFloat(float64(s.SumNs)/1e9, 'g', -1, 64), h.name, s.Count); err != nil {
+			h.name, formatFloat(seconds(s.SumNs)), h.name, s.Count); err != nil {
 			return err
 		}
 	}
@@ -330,14 +303,11 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 		out[v.name] = cells
 	}
-	for _, hs := range [][]namedHistogram{r.hists, r.secondsHists} {
-		for _, h := range hs {
-			s := h.h.Snapshot()
-			out[h.name] = map[string]any{
-				"count":   s.Count,
-				"sum_ns":  s.SumNs,
-				"mean_ns": s.Mean(),
-			}
+	for _, h := range r.hists {
+		s := h.h.Snapshot()
+		out[h.name] = map[string]any{
+			"count":       s.Count,
+			"sum_seconds": seconds(s.SumNs),
 		}
 	}
 	return out
@@ -405,42 +375,29 @@ func NewHostMetrics() *HostMetrics {
 	h := &HostMetrics{
 		Inference: &InferenceMetrics{},
 		Serving:   &ServingMetrics{},
-		Stream:    &StreamMetrics{Drift: NewDriftMonitor()},
+		Stream:    &StreamMetrics{},
 		Pool:      &PoolMetrics{},
 		Fault:     &FaultMetrics{},
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
 	r := h.Registry
-	r.RegisterCounter("pulphd_predict_total", "Predict calls", &h.Inference.Predicts)
-	r.RegisterHistogram("pulphd_predict_latency_ns", "Predict latency in nanoseconds", &h.Inference.PredictNanos)
-	r.RegisterCounter("pulphd_predict_batch_total", "PredictBatch calls", &h.Inference.BatchCalls)
+	r.RegisterHistogram("pulphd_predict_latency_seconds", "Predict latency in seconds", &h.Inference.PredictNanos)
 	r.RegisterCounter("pulphd_predict_batch_windows_total", "windows classified by PredictBatch", &h.Inference.BatchWindows)
-	r.RegisterHistogram("pulphd_predict_batch_latency_ns", "PredictBatch call latency in nanoseconds", &h.Inference.BatchNanos)
+	r.RegisterHistogram("pulphd_predict_batch_latency_seconds", "PredictBatch call latency in seconds", &h.Inference.BatchNanos)
 	r.RegisterCounter("pulphd_predict_batch_serial_fallbacks_total", "PredictBatch calls that ran serially (nil pool)", &h.Inference.BatchSerialFallbacks)
 	r.RegisterCounter("pulphd_stream_samples_total", "samples pushed into stream classifiers", &h.Stream.Samples)
 	r.RegisterCounter("pulphd_stream_decisions_total", "decisions emitted by stream classifiers", &h.Stream.Decisions)
-	r.RegisterCounter("pulphd_stream_replays_total", "Replay calls", &h.Stream.Replays)
-	r.RegisterHistogram("pulphd_stream_replay_latency_ns", "Replay call latency in nanoseconds", &h.Stream.ReplayNanos)
-	r.RegisterCounter("pulphd_stream_corrections_total", "label-corrected windows learned online", &h.Stream.Corrections)
-	r.RegisterCounterVec("pulphd_stream_confusion_total", "corrected decisions by (predicted, actual) label", h.Stream.Drift.Confusion())
-	r.RegisterGaugeFunc("pulphd_stream_feedback_total", "corrected decisions observed by the drift monitor", h.Stream.Drift.Feedbacks)
-	r.RegisterGaugeFunc("pulphd_stream_feedback_mismatches", "corrected decisions whose prediction was wrong", h.Stream.Drift.Mismatches)
-	r.RegisterGaugeFunc("pulphd_stream_rolling_accuracy_permille", "agreement rate over the last 256 corrections, in 1/1000 (-1: no signal yet)", h.Stream.Drift.RollingAccuracyPermille)
-	r.RegisterHistogram("pulphd_predict_encode_latency_ns", "per-request window-encode stage latency in nanoseconds", &h.Inference.EncodeNanos)
-	r.RegisterHistogram("pulphd_predict_search_latency_ns", "per-request AM-search stage latency in nanoseconds", &h.Inference.SearchNanos)
-	r.RegisterCounter("pulphd_serving_learns_total", "generation publications by Learn/Retrain", &h.Serving.Learns)
-	r.RegisterHistogram("pulphd_serving_learn_latency_ns", "Learn/Retrain publish latency in nanoseconds", &h.Serving.LearnNanos)
-	r.RegisterGauge("pulphd_serving_generation", "id of the published model generation", &h.Serving.Generation)
-	r.RegisterGauge("pulphd_serving_classes", "classes in the published generation", &h.Serving.Classes)
-	r.RegisterGauge("pulphd_serving_shards", "associative-memory shards in the published generation", &h.Serving.Shards)
+	r.RegisterHistogram("pulphd_stream_replay_latency_seconds", "Replay call latency in seconds", &h.Stream.ReplayNanos)
+	r.RegisterHistogram("pulphd_predict_encode_latency_seconds", "per-request window-encode stage latency in seconds", &h.Inference.EncodeNanos)
+	r.RegisterHistogram("pulphd_predict_search_latency_seconds", "per-request AM-search stage latency in seconds", &h.Inference.SearchNanos)
+	r.RegisterHistogram("pulphd_serving_learn_latency_seconds", "Learn/Retrain publish latency in seconds", &h.Serving.LearnNanos)
 	r.RegisterCounter("pulphd_serving_requests_total", "/predict and /learn requests, rejected ones included", &h.Serving.Requests)
 	r.RegisterCounter("pulphd_serving_rejected_total", "serving requests refused: 429 sheds, malformed bodies, draining", &h.Serving.Rejected)
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 at their deadline", &h.Serving.Timeouts)
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered into a retry or a 500 response", &h.Serving.PanicsRecovered)
 	r.RegisterCounter("pulphd_serving_degraded_scans_total", "predicts that fell back to the flat AM scan after a shard failure", &h.Serving.DegradedScans)
-	r.RegisterGauge("pulphd_serving_model_resident_bytes", "resident footprint of the published model (IM + CIM + AM prototypes) in bytes", &h.Serving.ModelBytes)
 	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)
 	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)
 	r.RegisterCounter("pulphd_fault_flipped_bits_total", "bits flipped by fault injection", &h.Fault.FlippedBits)
@@ -455,10 +412,9 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_registry_fault_ins_total", "cold models loaded back from snapshot + WAL on first request", &h.Models.FaultIns)
 	r.RegisterCounter("pulphd_registry_wal_appends_total", "online learning records appended to per-model write-ahead logs", &h.Models.WALAppends)
 	r.RegisterCounter("pulphd_registry_wal_replayed_records_total", "WAL records replayed onto snapshots during fault-in/recovery", &h.Models.WALReplayed)
-	r.RegisterCounter("pulphd_registry_snapshots_total", "per-model snapshot writes", &h.Models.Snapshots)
-	r.RegisterHistogram("pulphd_registry_snapshot_latency_ns", "per-model snapshot write latency in nanoseconds", &h.Models.SnapshotNanos)
-	r.RegisterSecondsHistogram("pulphd_registry_wal_fsync_seconds", "fsync latency on durable WAL appends in seconds", &h.Models.WALFsyncNanos)
-	r.RegisterSecondsHistogram("pulphd_registry_faultin_seconds", "cold-model fault-in latency (snapshot read + WAL replay) in seconds", &h.Models.FaultInNanos)
+	r.RegisterHistogram("pulphd_registry_snapshot_latency_seconds", "per-model snapshot write latency in seconds", &h.Models.SnapshotNanos)
+	r.RegisterHistogram("pulphd_registry_wal_fsync_seconds", "fsync latency on durable WAL appends in seconds", &h.Models.WALFsyncNanos)
+	r.RegisterHistogram("pulphd_registry_faultin_seconds", "cold-model fault-in latency (snapshot read + WAL replay) in seconds", &h.Models.FaultInNanos)
 	r.RegisterGaugeVec("pulphd_model_generation", "published model generation by model", h.Models.Generation)
 	r.RegisterGaugeVec("pulphd_model_classes", "classes in the published generation by model", h.Models.Classes)
 	r.RegisterGaugeVec("pulphd_model_resident_bytes", "resident footprint in bytes by model (0: evicted to disk)", h.Models.ModelResidentBytes)

@@ -26,7 +26,7 @@ var runtimeSamples = []string{
 type runtimeSampler struct {
 	mu     sync.Mutex
 	at     time.Time
-	values map[string]int64
+	values map[string]float64
 	buf    []metrics.Sample
 }
 
@@ -35,7 +35,7 @@ type runtimeSampler struct {
 const runtimeCacheTTL = 100 * time.Millisecond
 
 func newRuntimeSampler() *runtimeSampler {
-	s := &runtimeSampler{values: map[string]int64{}}
+	s := &runtimeSampler{values: map[string]float64{}}
 	s.buf = make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
 		s.buf[i].Name = name
@@ -46,7 +46,7 @@ func newRuntimeSampler() *runtimeSampler {
 // get returns the current value of the named runtime metric,
 // refreshing the cached read when it expired. Unknown or unsupported
 // metrics read as 0.
-func (s *runtimeSampler) get(name string) int64 {
+func (s *runtimeSampler) get(name string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if time.Since(s.at) > runtimeCacheTTL {
@@ -54,11 +54,9 @@ func (s *runtimeSampler) get(name string) int64 {
 		for _, smp := range s.buf {
 			switch smp.Value.Kind() {
 			case metrics.KindUint64:
-				s.values[smp.Name] = int64(smp.Value.Uint64())
+				s.values[smp.Name] = float64(smp.Value.Uint64())
 			case metrics.KindFloat64:
-				// Seconds-valued metrics land as nanoseconds so every
-				// gauge stays an integer.
-				s.values[smp.Name] = int64(smp.Value.Float64() * 1e9)
+				s.values[smp.Name] = smp.Value.Float64()
 			}
 		}
 		s.at = time.Now()
@@ -72,11 +70,11 @@ func (s *runtimeSampler) get(name string) int64 {
 func RegisterRuntimeMetrics(r *Registry) {
 	s := newRuntimeSampler()
 	gauge := func(name, help, sample string) {
-		r.RegisterGaugeFunc(name, help, func() int64 { return s.get(sample) })
+		r.RegisterGaugeFunc(name, help, func() float64 { return s.get(sample) })
 	}
 	gauge("pulphd_go_goroutines", "live goroutines", "/sched/goroutines:goroutines")
 	gauge("pulphd_go_heap_objects_bytes", "bytes occupied by live plus unswept heap objects", "/memory/classes/heap/objects:bytes")
 	gauge("pulphd_go_heap_goal_bytes", "heap size the GC is pacing toward", "/gc/heap/goal:bytes")
 	gauge("pulphd_go_gc_cycles", "completed GC cycles since process start", "/gc/cycles/total:gc-cycles")
-	gauge("pulphd_go_gc_pause_cpu_ns", "cumulative CPU time in GC stop-the-world pauses (ns)", "/cpu/classes/gc/pause:cpu-seconds")
+	gauge("pulphd_go_gc_pause_cpu_seconds", "cumulative CPU time in GC stop-the-world pauses in seconds", "/cpu/classes/gc/pause:cpu-seconds")
 }

@@ -105,7 +105,7 @@ type entry struct {
 	// wal is non-nil exactly while the model is resident in a
 	// persistent registry.
 	wal     *WAL
-	drift   *obs.DriftMonitor
+	drift   obs.DriftMonitor
 	lastUse atomic.Int64
 	deleted bool
 
@@ -152,7 +152,7 @@ func Open(cfg Config) (*Registry, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		e := &entry{name: name, drift: obs.NewDriftMonitor()}
+		e := &entry{name: name}
 		f, err := os.Open(r.snapPath(name))
 		if err != nil {
 			return nil, fmt.Errorf("registry: model %q in manifest but snapshot unreadable: %w", name, err)
@@ -238,7 +238,7 @@ func (r *Registry) adoptLocked(name string, sv *hdc.Serving, op string) (*entry,
 	if _, ok := r.entries[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	e := &entry{name: name, drift: obs.NewDriftMonitor()}
+	e := &entry{name: name}
 	e.sv.Store(sv)
 	if r.Persistent() {
 		// Files first, manifest last: a crash in between leaves orphan
@@ -368,15 +368,6 @@ func (r *Registry) ServingCtx(ctx context.Context, name string) (*hdc.Serving, e
 func (r *Registry) Has(name string) bool {
 	_, err := r.lookup(name)
 	return err == nil
-}
-
-// Drift returns the named model's drift monitor.
-func (r *Registry) Drift(name string) (*obs.DriftMonitor, error) {
-	e, err := r.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return e.drift, nil
 }
 
 // residentLocked ensures e's model is in memory, loading the snapshot

@@ -7,7 +7,6 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/model"
-	"pulphd/internal/obs"
 )
 
 // This file is the registry's replication surface: a primary exports
@@ -60,7 +59,7 @@ func (r *Registry) Install(name string, sv *hdc.Serving) error {
 	}
 	e, ok := r.entries[name]
 	if !ok {
-		e = &entry{name: name, drift: obs.NewDriftMonitor()}
+		e = &entry{name: name}
 		r.entries[name] = e
 	}
 	r.mu.Unlock()

@@ -119,13 +119,13 @@ func (s *Syncer) RegisterMetrics(r *obs.Registry) {
 		"Model snapshots fetched and installed from the primary.", &s.snapshots)
 	r.RegisterCounter("pulphd_replica_snapshot_bytes_total",
 		"Snapshot bytes pulled from the primary.", &s.snapshotBytes)
-	r.RegisterSecondsHistogram("pulphd_replica_sync_seconds",
+	r.RegisterHistogram("pulphd_replica_sync_seconds",
 		"Wall time of one full sync cycle (list + every snapshot fetched).", &s.syncNanos)
 	r.RegisterGaugeVec("pulphd_replica_lag_generations",
 		"Per-model generations this replica is behind the primary's last listing; 0 when caught up.", s.lagGens)
 	r.RegisterGaugeFunc("pulphd_replica_lag_seconds",
-		"Seconds since the last sync cycle that ended fully caught up.", func() int64 {
-			return int64(time.Since(time.Unix(0, s.lastCaughtUp.Load())) / time.Second)
+		"Seconds since the last sync cycle that ended fully caught up.", func() float64 {
+			return time.Since(time.Unix(0, s.lastCaughtUp.Load())).Seconds()
 		})
 }
 

@@ -332,14 +332,6 @@ func (s *Classifier) Correct(label string) error {
 	if err := l.Learn(label, s.window); err != nil {
 		return fmt.Errorf("stream: Correct: %w", err)
 	}
-	m := metrics()
-	m.RecordCorrection()
-	// A correction is also a labelled accuracy sample: the model's
-	// latest raw decision versus what the wearer says the window was.
-	// That pair feeds the serving drift monitor.
-	if s.recentN > 0 {
-		m.RecordFeedback(s.recent[(s.recentN-1)%len(s.recent)], label)
-	}
 	return nil
 }
 
