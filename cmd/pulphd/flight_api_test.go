@@ -275,8 +275,9 @@ func TestTailObservabilityAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		id++
 		rec := api.timelines.Acquire(id)
-		api.finish(rec, rec.Start("request", obs.NoSpan), "default", 1, 0, start)
-		api.recordSLO("default", start, false)
+		dur := time.Since(start)
+		api.finish(rec, rec.Start("request", obs.NoSpan), "default", 1, 0, dur)
+		api.slo.Record("default", dur, false)
 	}); allocs != 0 {
 		t.Fatalf("healthy-path observability allocates %v/op", allocs)
 	}

@@ -9,13 +9,13 @@ import "testing"
 
 // TestPredictHandlerAllocs pins the handler's allocation count on the
 // BenchmarkPredictHandler shape, httptest request and recorder
-// included. It measured 39 allocs/op, most of them JSON decoding and
-// the httptest harness; the ceiling leaves one of slack for
-// standard-library drift.
+// included. It measured 21 allocs/op, most of them the httptest
+// harness (the wire codec decodes and answers without allocating); the
+// ceiling leaves one of slack for standard-library drift.
 func TestPredictHandlerAllocs(t *testing.T) {
 	api, body := handlerAPI(t)
 	servePredict(t, api, body) // warm the session pool and recorders
-	if allocs := testing.AllocsPerRun(200, func() { servePredict(t, api, body) }); allocs > 40 {
-		t.Fatalf("/predict handler allocates %v/op, want ≤ 40", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { servePredict(t, api, body) }); allocs > 22 {
+		t.Fatalf("/predict handler allocates %v/op, want ≤ 22", allocs)
 	}
 }

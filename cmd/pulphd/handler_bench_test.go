@@ -16,12 +16,13 @@ import (
 
 // handlerAPI builds the serve-default shape the handler cost is pinned
 // on: a registry-backed server over an EMG-geometry model with 5
-// classes in 4 shards, request timelines, the flight ring and the SLO
-// engine all on. It returns the server and one valid /predict body.
+// classes in one shard (the flat scan), request timelines, the flight
+// ring and the SLO engine all on. It returns the server and one valid
+// /predict body.
 func handlerAPI(tb testing.TB) (*apiServer, []byte) {
 	tb.Helper()
 	cfg := hdc.EMGConfig()
-	sv, err := hdc.NewServing(cfg, 4)
+	sv, err := hdc.NewServing(cfg, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func servePredict(tb testing.TB, api *apiServer, body []byte) {
 }
 
 // BenchmarkPredictHandler measures one /predict through the handler
-// in-process — decode, admission, encode, AM search over the shards,
+// in-process — decode, admission, encode, AM search,
 // observability and the JSON answer — with no network in the way.
 func BenchmarkPredictHandler(b *testing.B) {
 	api, body := handlerAPI(b)

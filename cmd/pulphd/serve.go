@@ -165,7 +165,7 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
 	sf.workers = fs.Int("workers", 4, "worker-pool size for the demo workload; served predicts scan their shards on the request goroutine")
 	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
-	sf.shards = fs.Int("shards", 4, "associative-memory shard count per model")
+	sf.shards = fs.Int("shards", 1, "associative-memory shard count per model; 1 is the flat scan, bit-identical to a sharded one and faster at a few classes")
 	// -queue-depth is named for the predict queue it once sized; the
 	// name and the 128 default stay so existing command lines still
 	// parse and admit the same load.
@@ -182,7 +182,7 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.predictTimeout = fs.Duration("predict-timeout", 0, "per-request /predict deadline; expired requests get 504 (0 disables)")
 	sf.predictRetries = fs.Int("predict-retries", 2, "bounded retries after a recovered predict panic before answering 500")
 	sf.retryBackoff = fs.Duration("retry-backoff", 2*time.Millisecond, "initial backoff between predict retries, doubling per attempt")
-	sf.chaosShard = fs.Int("chaos-shard", -1, "fault injection: panic every sharded scan of this AM shard index, exercising the degraded flat-scan fallback (-1 disables)")
+	sf.chaosShard = fs.Int("chaos-shard", -1, "fault injection: panic every sharded scan of this AM shard index, exercising the degraded flat-scan fallback; needs -shards > 1 (-1 disables)")
 	sf.imBackend = fs.String("im-backend", "stored", "item-memory backend for the served model: stored or remat")
 	sf.stateDir = fs.String("state-dir", "", "model-registry state `directory` (snapshots + write-ahead logs); restarts recover every model from it. Empty: models live in memory only")
 	sf.residentBudget = fs.Int64("resident-budget", 0, "resident-bytes budget across registry models; past it, least-recently-used models evict to disk and fault back in on demand (0: unlimited; needs -state-dir)")

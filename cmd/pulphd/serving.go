@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -21,8 +20,10 @@ import (
 )
 
 // modelHeader routes a legacy /predict or /learn request to a named
-// registry model without changing its path.
-const modelHeader = "X-PULPHD-Model"
+// registry model without changing its path. It is spelled in canonical
+// form so r.Header.Get looks it up without canonicalising (and
+// allocating) on every request; header names are case-insensitive.
+const modelHeader = "X-Pulphd-Model"
 
 // This file is the HTTP front end of the online-learning serving
 // layer: POST /predict classifies windows against the current model
@@ -43,30 +44,6 @@ const modelHeader = "X-PULPHD-Model"
 // a few KB per window, so 1 MiB leaves room for much larger models.
 const maxRequestBody = 1 << 20
 
-type predictRequest struct {
-	Window [][]float64 `json:"window"`
-}
-
-type predictResponse struct {
-	Label      string `json:"label"`
-	Distance   int    `json:"distance"`
-	Generation uint64 `json:"generation"`
-	// Model names the registry model that answered; empty on the
-	// legacy route without an X-PULPHD-Model header.
-	Model string `json:"model,omitempty"`
-}
-
-type learnRequest struct {
-	Label  string      `json:"label"`
-	Window [][]float64 `json:"window"`
-}
-
-type learnResponse struct {
-	Generation uint64 `json:"generation"`
-	Classes    int    `json:"classes"`
-	Model      string `json:"model,omitempty"`
-}
-
 // errNoModel is returned for predicts against a model with no classes
 // (nothing learned yet).
 var errNoModel = errors.New("model has no classes yet; POST /learn first")
@@ -81,32 +58,6 @@ var errPredictPanic = errors.New("internal error during predict")
 // errDeadline marks a predict whose per-request deadline expired
 // before an attempt could start — answered 504.
 var errDeadline = errors.New("predict deadline exceeded")
-
-// decodePredictWindow parses and validates one window payload. It is
-// shared by /predict and /learn and is the fuzz surface for remote
-// input: any malformed body must come back as an error, never a panic.
-func decodePredictWindow(sv *hdc.Serving, body io.Reader) ([][]float64, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req predictRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trailing data after request object")
-	}
-	if err := sv.ValidateWindow(req.Window); err != nil {
-		return nil, err
-	}
-	for _, row := range req.Window {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("window values must be finite")
-			}
-		}
-	}
-	return req.Window, nil
-}
 
 // predictResult is one answered predict: the winning class, the
 // generation the predict actually scanned, and the flight-recorder
@@ -204,23 +155,17 @@ func (s *apiServer) beginDrain() {
 // recorder back into the timeline ring. The handler owns the recorder
 // alone, so it calls finish exactly once on every path that got past
 // model resolution and decode. On the healthy path this is a handful
-// of compares — no allocation, no capture.
-func (s *apiServer) finish(rec *obs.Spans, root obs.SpanID, model string, gen uint64, trig flight.Trigger, start time.Time) {
+// of compares — no allocation, no capture. dur is the request's wall
+// time so far, read once and shared with the SLO engine.
+func (s *apiServer) finish(rec *obs.Spans, root obs.SpanID, model string, gen uint64, trig flight.Trigger, dur time.Duration) {
 	rec.End(root)
 	if s.flight != nil {
-		dur := time.Since(start)
 		if th := s.slo.SlowThreshold(model); th > 0 && dur > th {
 			trig |= flight.TrigSlow
 		}
 		s.flight.Capture(rec, model, gen, trig, dur)
 	}
 	s.timelines.Release(rec)
-}
-
-// recordSLO folds one finished request into the per-tenant SLO engine
-// (nil-safe: a server without an engine records nothing).
-func (s *apiServer) recordSLO(model string, start time.Time, failed bool) {
-	s.slo.Record(model, time.Since(start), failed)
 }
 
 // maxRetryBackoff caps the doubling predict-retry backoff: past it
@@ -627,8 +572,12 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// The window aliases b, so b returns to the pool only once the
+	// answer is written.
+	b := getWire()
+	defer putWire(b)
 	dec := q.rec.Start("decode", q.root)
-	window, err := decodePredictWindow(q.sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
+	window, err := b.decodePredict(q.sv, http.MaxBytesReader(w, r.Body, maxRequestBody))
 	q.rec.End(dec)
 	if err != nil {
 		s.reject(w, q, "predict", http.StatusBadRequest, err)
@@ -640,8 +589,9 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.inFlight.Add(1) > s.maxInFlight {
 		s.inFlight.Add(-1)
 		s.m.RecordRequest(false)
-		s.finish(q.rec, q.root, q.model, 0, flight.TrigShed, q.start)
-		s.recordSLO(q.model, q.start, true)
+		dur := time.Since(q.start)
+		s.finish(q.rec, q.root, q.model, 0, flight.TrigShed, dur)
+		s.slo.Record(q.model, dur, true)
 		s.log.Debug("predict shed", "request", q.id, "reason", "too many in flight")
 		httpError(w, http.StatusTooManyRequests, errors.New("too many predicts in flight; retry"))
 		return
@@ -651,38 +601,34 @@ func (s *apiServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if q.sv.Classes() == 0 {
 		// The client's 409: not a tail event, and no burn against the
 		// model's error budget.
-		s.finish(q.rec, q.root, q.model, 0, 0, q.start)
+		s.finish(q.rec, q.root, q.model, 0, 0, time.Since(q.start))
 		s.log.Debug("predict failed", "request", q.id, "error", errNoModel)
 		httpError(w, http.StatusConflict, errNoModel)
 		return
 	}
 	res, err := s.predict(q.ctx, q.sv, window, q.start)
+	dur := time.Since(q.start)
 	if err != nil {
 		code, trig := http.StatusInternalServerError, flight.TrigError
 		if errors.Is(err, errDeadline) {
 			code, trig = http.StatusGatewayTimeout, flight.TrigTimeout
 			s.m.RecordTimeout()
 		}
-		s.finish(q.rec, q.root, q.model, 0, res.trig|trig, q.start)
-		s.recordSLO(q.model, q.start, true)
+		s.finish(q.rec, q.root, q.model, 0, res.trig|trig, dur)
+		s.slo.Record(q.model, dur, true)
 		s.log.Debug("predict failed", "request", q.id, "error", err)
 		httpError(w, code, err)
 		return
 	}
-	s.finish(q.rec, q.root, q.model, res.generation, res.trig, q.start)
-	s.recordSLO(q.model, q.start, false)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(predictResponse{
-		Label:      res.label,
-		Distance:   res.distance,
-		Generation: res.generation,
-		Model:      q.name,
-	})
-	// LogAttrs boxes nothing, so the disabled debug line costs no
-	// allocation on the hot path.
-	s.log.LogAttrs(q.ctx, slog.LevelDebug, "predict", slog.Uint64("request", q.id),
-		slog.String("label", res.label), slog.Int("distance", res.distance),
-		slog.Uint64("generation", res.generation), slog.Duration("duration", time.Since(q.start)))
+	s.finish(q.rec, q.root, q.model, res.generation, res.trig, dur)
+	s.slo.Record(q.model, dur, false)
+	b.buf = appendPredictResponse(b.buf[:0], res.label, res.distance, res.generation, q.name)
+	writeJSONBody(w, b.buf)
+	if s.log.Enabled(q.ctx, slog.LevelDebug) {
+		s.log.LogAttrs(q.ctx, slog.LevelDebug, "predict", slog.Uint64("request", q.id),
+			slog.String("label", res.label), slog.Int("distance", res.distance),
+			slog.Uint64("generation", res.generation), slog.Duration("duration", time.Since(q.start)))
+	}
 }
 
 func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
@@ -690,14 +636,14 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	var req learnRequest
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, q, "learn", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	b := getWire()
+	defer putWire(b)
+	label, window, err := b.decode(http.MaxBytesReader(w, r.Body, maxRequestBody), true)
+	if err != nil {
+		s.reject(w, q, "learn", http.StatusBadRequest, err)
 		return
 	}
-	if req.Label == "" {
+	if label == "" {
 		s.reject(w, q, "learn", http.StatusBadRequest, errors.New("label must be non-empty"))
 		return
 	}
@@ -707,7 +653,7 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 	// so an acknowledged learn survives a crash.
 	var gen uint64
 	var classes int
-	err := s.reg.CorrectCtx(q.ctx, q.model, req.Label, req.Window)
+	err = s.reg.CorrectCtx(q.ctx, q.model, label, window)
 	if info, infoErr := s.reg.ModelInfo(q.model); infoErr == nil {
 		gen, classes = info.Generation, info.Classes
 	}
@@ -723,22 +669,26 @@ func (s *apiServer) handleLearn(w http.ResponseWriter, r *http.Request) {
 			trig = flight.TrigError
 		}
 	}
-	s.finish(q.rec, q.root, q.model, gen, trig, q.start)
+	dur := time.Since(q.start)
+	s.finish(q.rec, q.root, q.model, gen, trig, dur)
 	if err != nil {
 		s.m.RecordRequest(false)
 		if code >= 500 {
-			s.recordSLO(q.model, q.start, true)
+			s.slo.Record(q.model, dur, true)
 		}
 		s.log.Debug("learn rejected", "request", q.id, "error", err)
 		httpError(w, code, err)
 		return
 	}
-	s.recordSLO(q.model, q.start, false)
+	s.slo.Record(q.model, dur, false)
 	s.m.RecordRequest(true)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(learnResponse{Generation: gen, Classes: classes, Model: q.name})
-	s.log.Debug("learn", "request", q.id, "label", req.Label,
-		"generation", gen, "classes", classes, "duration", time.Since(q.start))
+	b.buf = appendLearnResponse(b.buf[:0], gen, classes, q.name)
+	writeJSONBody(w, b.buf)
+	if s.log.Enabled(q.ctx, slog.LevelDebug) {
+		s.log.LogAttrs(q.ctx, slog.LevelDebug, "learn", slog.Uint64("request", q.id),
+			slog.String("label", label), slog.Uint64("generation", gen),
+			slog.Int("classes", classes), slog.Duration("duration", time.Since(q.start)))
+	}
 }
 
 // orDefault returns name, or def when name is empty.

@@ -20,11 +20,15 @@ import (
 // hashes it (with the model name) onto the replica ring, so one EMG
 // stream keeps hitting one replica — warm per-model state, monotonic
 // generations. Absent, the client IP stands in.
-const sessionHeader = "X-PULPHD-Session"
+//
+// Both header names are spelled in canonical form, so r.Header.Get
+// finds them without canonicalising (and allocating) per request;
+// header names are case-insensitive on the wire.
+const sessionHeader = "X-Pulphd-Session"
 
 // modelHeader mirrors the serve tier's header routing a legacy-path
 // request to a named model.
-const modelHeader = "X-PULPHD-Model"
+const modelHeader = "X-Pulphd-Model"
 
 // maxFrontBody bounds a buffered request body (bodies are buffered so
 // a failed replica's request can replay against the next candidate).
@@ -419,7 +423,7 @@ func (f *Front) roundTrip(r *http.Request, base string, body []byte) (*http.Resp
 }
 
 func copyHeader(dst, src http.Header) {
-	for _, h := range []string{"Content-Type", "X-PULPHD-Generation"} {
+	for _, h := range []string{"Content-Type", "X-Pulphd-Generation"} {
 		if v := src.Get(h); v != "" {
 			dst.Set(h, v)
 		}

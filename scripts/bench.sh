@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs the kernel, inference and /predict handler micro-benchmarks
-# and stores the result in benchmarks/latest.txt for review /
-# comparison against the committed baseline. The
+# Runs the kernel, inference, /predict body-decode and handler
+# micro-benchmarks and stores the result in benchmarks/latest.txt for
+# review / comparison against the committed baseline. The
 # stored-vs-rematerialized encode stanza is additionally summarized
 # (median ns/op, B/op, allocs/op and resident model bytes per backend)
 # into benchmarks/BENCH_remat.json.
@@ -27,7 +27,7 @@ go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
 go test -run '^$' \
-  -bench 'BenchmarkPredictHandler$' \
+  -bench 'BenchmarkPredictHandler$|BenchmarkDecodeWindow$' \
   -benchmem -count "$COUNT" ./cmd/pulphd/ "$@" | tee -a "$OUT"
 
 # Stored-vs-remat encode comparison: appended to latest.txt so the
