@@ -61,9 +61,9 @@ func runFront(sf *serveFlags, logger *slog.Logger, h *obs.HostMetrics, mux *http
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	go fr.Run(ctx)
-	srv := &http.Server{Addr: *sf.addr, Handler: mux}
+	srv := newConnLoop(mux, logger)
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.ListenAndServe(*sf.addr) }()
 	logger.Info("serving front",
 		"addr", *sf.addr, "primary", primaries[0], "replicas", len(peers),
 		"probe_interval", *sf.syncInterval)

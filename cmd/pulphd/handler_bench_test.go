@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -65,4 +69,65 @@ func BenchmarkPredictHandler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		servePredict(b, api, body)
 	}
+}
+
+// benchLoopback times /predict over real loopback TCP: one keep-alive
+// client writes the request and parses the answer, so ns/op is the
+// round trip and allocs/op counts both ends. serve starts a server for
+// the full `pulphd serve` mux on ln.
+func benchLoopback(b *testing.B, serve func(ln net.Listener, h http.Handler) (stop func())) {
+	api, body := handlerAPI(b)
+	mux := newMetricsMux(obs.NewHostMetrics())
+	api.register(mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer serve(ln, mux)()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := []byte(rawPost("/predict", "Content-Type: application/json\r\n", string(body)))
+	br := bufio.NewReader(c)
+	post := &http.Request{Method: http.MethodPost}
+	roundTrip := func() {
+		if _, err := c.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, post)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("predict: %d %v", resp.StatusCode, err)
+		}
+	}
+	roundTrip()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
+// BenchmarkPredictLoopback is the transport stage's micro-benchmark:
+// /predict through the connection loop `pulphd serve` runs.
+func BenchmarkPredictLoopback(b *testing.B) {
+	benchLoopback(b, func(ln net.Listener, h http.Handler) func() {
+		loop := newConnLoop(h, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		go loop.Serve(ln)
+		return func() { loop.Close() }
+	})
+}
+
+// BenchmarkPredictLoopbackNetHTTP is the same round trip through
+// net/http.Server, the reference the connection loop replaced.
+func BenchmarkPredictLoopbackNetHTTP(b *testing.B) {
+	benchLoopback(b, func(ln net.Listener, h http.Handler) func() {
+		srv := &http.Server{Handler: h}
+		go srv.Serve(ln)
+		return func() { srv.Close() }
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +18,7 @@ import (
 // (health endpoints included) with request tracing on. configure runs
 // before the server starts, so tests can install a logger or swap the
 // timeline ring without racing live handlers.
-func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httptest.Server) {
+func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *testServer) {
 	t.Helper()
 	sv, err := hdc.NewServing(testServingConfig(), 2)
 	if err != nil {
@@ -33,7 +32,7 @@ func newHealthAPI(t *testing.T, configure func(*apiServer)) (*apiServer, *httpte
 	return api, serveAPI(t, api)
 }
 
-func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
+func get(t *testing.T, srv *testServer, path string) (int, string) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {

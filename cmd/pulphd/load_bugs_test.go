@@ -20,7 +20,7 @@ import (
 // churning recorders instead of recycling them.
 
 // trainedServing builds a 2-class serving model for the tests here.
-func trainedServing(t *testing.T, shards int) *hdc.Serving {
+func trainedServing(t testing.TB, shards int) *hdc.Serving {
 	t.Helper()
 	sv, err := hdc.NewServing(testServingConfig(), shards)
 	if err != nil {

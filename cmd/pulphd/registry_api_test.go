@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 // newRegistryTestAPI builds a registry-backed API server over dir with
 // a trained "default" model, mirroring what `pulphd serve -state-dir`
 // boots.
-func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *httptest.Server, *modreg.Registry) {
+func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *testServer, *modreg.Registry) {
 	t.Helper()
 	reg, err := modreg.Open(modreg.Config{Dir: dir, Shards: 2})
 	if err != nil {
@@ -45,14 +44,13 @@ func newRegistryTestAPI(t *testing.T, dir string) (*apiServer, *httptest.Server,
 	}
 	mux := http.NewServeMux()
 	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, mux)
 	return api, srv, reg
 }
 
 // doJSON issues one request with an optional body and header, returning
 // status and body text.
-func doJSON(t *testing.T, srv *httptest.Server, method, path, body string, header map[string]string) (int, string) {
+func doJSON(t *testing.T, srv *testServer, method, path, body string, header map[string]string) (int, string) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -21,7 +20,7 @@ import (
 type replNode struct {
 	api *apiServer
 	reg *modreg.Registry
-	srv *httptest.Server
+	srv *testServer
 }
 
 func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
@@ -44,8 +43,7 @@ func bootReplNode(t *testing.T, dir string, readOnly bool) *replNode {
 	mux := http.NewServeMux()
 	api.register(mux)
 	replica.NewHandler(reg).Register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, mux)
 	return &replNode{api: api, reg: reg, srv: srv}
 }
 
@@ -84,8 +82,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	fmux := http.NewServeMux()
 	fr.Register(fmux)
-	front := httptest.NewServer(fmux)
-	defer front.Close()
+	front := newTestServer(t, fmux)
 	ctx := context.Background()
 	fr.ProbeOnce(ctx)
 
@@ -221,8 +218,8 @@ func TestReplicaRefusesWrites(t *testing.T) {
 	}
 }
 
-// doJSONAt is doJSON against a raw base URL (the front's httptest
-// server is not an *httptest.Server handed back by a helper).
+// doJSONAt is doJSON against a raw base URL (the front's test
+// server is not one handed back by a helper).
 func doJSONAt(t *testing.T, base, method, path, body string, header map[string]string) (int, string) {
 	t.Helper()
 	var rd *strings.Reader

@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	rtpprof "runtime/pprof"
 	"syscall"
 	"time"
 
@@ -22,10 +21,8 @@ import (
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
 	sloeng "pulphd/internal/obs/slo"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
 	"pulphd/internal/replica"
-	"pulphd/internal/stream"
 )
 
 // enableHostMetrics builds the canonical pulphd_* metric set and
@@ -35,8 +32,6 @@ func enableHostMetrics() *obs.HostMetrics {
 	h := obs.NewHostMetrics()
 	hdc.SetMetrics(h.Inference)
 	hdc.SetServingMetrics(h.Serving)
-	stream.SetMetrics(h.Stream)
-	parallel.SetMetrics(h.Pool)
 	fault.SetMetrics(h.Fault)
 	h.Registry.PublishExpvar("pulphd_metrics")
 	return h
@@ -86,42 +81,6 @@ func newMetricsMux(h *obs.HostMetrics) *http.ServeMux {
 	return mux
 }
 
-// demoWorkload trains the EMG classifier on one prepared subject and
-// loops the test session through the streaming front end — Push
-// sample by sample, then a batched Replay over the pool — so every
-// instrumented path exercises continuously while the server is up.
-func demoWorkload(p *experiments.Prepared, backend hdc.Backend, workers int, rounds int) error {
-	cfg := hdc.EMGConfig()
-	cfg.Backend = backend
-	cls, err := hdc.New(cfg)
-	if err != nil {
-		return err
-	}
-	subj := p.Subjects[0]
-	for _, w := range subj.Train {
-		cls.Train(w.Label, w.Window)
-	}
-	st, err := stream.New(cls, stream.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	session := make([][]float64, 0, len(subj.Test))
-	for _, w := range subj.Test {
-		session = append(session, w.Window[0])
-	}
-	for r := 0; rounds <= 0 || r < rounds; r++ {
-		st.Reset()
-		for _, sample := range session {
-			st.Push(sample)
-		}
-		st.Reset()
-		st.Replay(session, pool)
-	}
-	return nil
-}
-
 // newServingModel builds the model behind /predict and /learn. With
 // demo data it is the paper's EMG classifier trained on one prepared
 // subject and snapshotted into a serving instance; without, it starts
@@ -149,7 +108,7 @@ type serveFlags struct {
 	addr, logLevel, logFormat, imBackend, stateDir, defaultModel *string
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
-	workers, shards, queueDepth                                  *int
+	shards, queueDepth                                           *int
 	traceRequests, flightKeep, predictRetries, chaosShard        *int
 	snapshotEvery                                                *int
 	seed, residentBudget                                         *int64
@@ -162,8 +121,7 @@ type serveFlags struct {
 func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{}
 	sf.addr = fs.String("metrics-addr", "localhost:8099", "listen `address` for /predict, /learn, /metrics, /debug/vars and /debug/pprof")
-	sf.demo = fs.Bool("demo", true, "train the served model on a synthetic EMG subject and continuously replay its session so the metrics move")
-	sf.workers = fs.Int("workers", 4, "worker-pool size for the demo workload; served predicts scan their shards on the request goroutine")
+	sf.demo = fs.Bool("demo", true, "seed the default model by training it on a synthetic EMG subject (a model recovered from -state-dir wins)")
 	sf.seed = fs.Int64("seed", 2018, "dataset generation seed")
 	sf.shards = fs.Int("shards", 1, "associative-memory shard count per model; 1 is the flat scan, bit-identical to a sharded one and faster at a few classes")
 	// -queue-depth is named for the predict queue it once sized; the
@@ -197,12 +155,13 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 }
 
 // runServe implements the "pulphd serve" subcommand: enable the host
-// metrics, expose them over HTTP, and (unless -demo=false) drive the
-// demo workload so the counters move.
+// metrics, build the registry (seeding the default model from the demo
+// subject unless -demo=false), and serve the API and debug surfaces
+// through the connection loop until a termination signal.
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("pulphd serve", flag.ExitOnError)
 	sf := newServeFlags(fs)
-	addr, demo, workers, seed, shards := sf.addr, sf.demo, sf.workers, sf.seed, sf.shards
+	addr, demo, seed, shards := sf.addr, sf.demo, sf.seed, sf.shards
 	queueDepth, logLevel, logFormat := sf.queueDepth, sf.logLevel, sf.logFormat
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
@@ -265,7 +224,7 @@ func runServe(args []string) int {
 			// A replica's models come from the primary; locally trained
 			// demo state would be overwritten by the first sync cycle.
 			*demo = false
-			logger.Info("replica role: demo workload disabled; models sync from the primary", "primary", syncPrimary)
+			logger.Info("replica role: demo model disabled; models sync from the primary", "primary", syncPrimary)
 		}
 	}
 
@@ -409,19 +368,6 @@ func runServe(args []string) int {
 		}
 		syncer.RegisterMetrics(h.Registry)
 	}
-	if *demo {
-		go rtpprof.Do(context.Background(), rtpprof.Labels("task", "demo-workload"),
-			func(context.Context) {
-				for {
-					if err := demoWorkload(prepared, backend, *workers, 1); err != nil {
-						logger.Error("demo workload", "error", err)
-						return
-					}
-					time.Sleep(100 * time.Millisecond)
-				}
-			})
-	}
-
 	// Serve until a termination signal, then drain gracefully: stop
 	// accepting (handlers answer 503), let in-flight requests finish
 	// under the Shutdown deadline, and only then close the registry.
@@ -430,9 +376,9 @@ func runServe(args []string) int {
 	if syncer != nil {
 		go syncer.Run(ctx)
 	}
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := newConnLoop(mux, logger)
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.ListenAndServe(*addr) }()
 	logger.Info("serving",
 		"addr", *addr, "model", *defaultModel, "classes", classes, "shards", amShards,
 		"state_dir", *stateDir,

@@ -113,7 +113,7 @@ type apiServer struct {
 	// nextID tags every request with a process-unique id (log lines
 	// and span timelines correlate on it). draining flips once at
 	// shutdown: new work is refused with 503 while in-flight requests
-	// finish under http.Server.Shutdown.
+	// finish under the connection loop's Shutdown.
 	nextID   atomic.Uint64
 	draining atomic.Bool
 }
@@ -144,7 +144,7 @@ func newAPIServer(reg *modreg.Registry, defaultModel string, baseConfig hdc.Conf
 
 // beginDrain refuses new work with 503 while requests already in
 // flight complete — the first step of graceful shutdown, before
-// http.Server.Shutdown waits the handlers out.
+// the connection loop's Shutdown waits the handlers out.
 func (s *apiServer) beginDrain() {
 	s.draining.Store(true)
 }

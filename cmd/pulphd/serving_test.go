@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,27 +58,26 @@ func newEphemeralAPI(t testing.TB, sv *hdc.Serving, maxInFlight int, m *obs.Serv
 	return api
 }
 
-// serveAPI mounts api's routes behind an httptest server that closes
-// at cleanup.
-func serveAPI(t testing.TB, api *apiServer) *httptest.Server {
+// serveAPI mounts api's routes behind the production connection loop,
+// which closes at cleanup.
+func serveAPI(t testing.TB, api *apiServer) *testServer {
 	t.Helper()
 	mux := http.NewServeMux()
 	api.register(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, mux)
 	return srv
 }
 
 // newTestAPI serves a trained two-class model (four configured shards,
-// so the AM splits into two) behind an httptest front end.
-func newTestAPI(t *testing.T) (*apiServer, *httptest.Server, *hdc.Serving) {
+// so the AM splits into two) behind the production connection loop.
+func newTestAPI(t *testing.T) (*apiServer, *testServer, *hdc.Serving) {
 	t.Helper()
 	sv := trainedServing(t, 4)
 	api := newEphemeralAPI(t, sv, 8, nil)
 	return api, serveAPI(t, api), sv
 }
 
-func postJSON(t *testing.T, srv *httptest.Server, path, body string) (int, string) {
+func postJSON(t *testing.T, srv *testServer, path, body string) (int, string) {
 	t.Helper()
 	resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -93,7 +91,7 @@ func postJSON(t *testing.T, srv *httptest.Server, path, body string) (int, strin
 	return resp.StatusCode, string(data)
 }
 
-func windowJSON(t *testing.T, cfg hdc.Config, level float64) string {
+func windowJSON(t testing.TB, cfg hdc.Config, level float64) string {
 	t.Helper()
 	data, err := json.Marshal(predictRequest{Window: testWindow(cfg, level)})
 	if err != nil {
@@ -272,8 +270,7 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	}
 	mux := newMetricsMux(h)
 	api.register(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv := newTestServer(t, mux)
 
 	for i, label := range []string{"rest", "fist", "point"} {
 		body, _ := json.Marshal(learnRequest{Label: label, Window: testWindow(sv.Config(), float64(2+7*i))})

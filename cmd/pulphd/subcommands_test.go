@@ -1,9 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +12,6 @@ import (
 	"pulphd/internal/emg"
 	"pulphd/internal/experiments"
 	"pulphd/internal/hdc"
-	"pulphd/internal/parallel"
-	"pulphd/internal/stream"
 )
 
 // silenceStdout redirects os.Stdout to /dev/null for the test's
@@ -88,26 +86,25 @@ func TestTraceSubcommand(t *testing.T) {
 }
 
 // TestServeEndpoints wires the host metrics exactly as "pulphd serve"
-// does, runs one round of the demo workload, and checks all three
+// does, predicts once on the demo-seeded model, and checks all three
 // endpoint families respond with moving numbers.
 func TestServeEndpoints(t *testing.T) {
 	h := enableHostMetrics()
 	t.Cleanup(func() {
 		hdc.SetMetrics(nil)
 		hdc.SetServingMetrics(nil)
-		stream.SetMetrics(nil)
-		parallel.SetMetrics(nil)
 	})
 	proto := emg.DefaultProtocol()
 	proto.Subjects = 1
 	proto.Repetitions = 4
 	prepared := experiments.Prepare(proto, 1)
-	if err := demoWorkload(prepared, hdc.BackendRemat, 2, 1); err != nil {
+	sv, err := newServingModel(prepared, hdc.BackendRemat, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	sv.PredictCtx(context.Background(), prepared.Subjects[0].Test[0].Window)
 
-	srv := httptest.NewServer(newMetricsMux(h))
-	defer srv.Close()
+	srv := newTestServer(t, newMetricsMux(h))
 	get := func(path string) string {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -126,15 +123,17 @@ func TestServeEndpoints(t *testing.T) {
 
 	metrics := get("/metrics")
 	for _, want := range []string{
-		"pulphd_predict_latency_seconds_count", "pulphd_stream_samples_total",
-		"pulphd_stream_replay_latency_seconds_count 1", "pulphd_pool_collectives_total",
+		"pulphd_predict_latency_seconds_count 1", "pulphd_predict_encode_latency_seconds_count 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
 		}
 	}
-	if strings.Contains(metrics, "pulphd_predict_latency_seconds_count 0\n") {
-		t.Error("demo workload left pulphd_predict_latency_seconds_count at zero")
+	// Nothing in serve feeds the stream, worker-pool or batch families.
+	for _, gone := range []string{"pulphd_stream_", "pulphd_pool_", "pulphd_predict_batch_"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics still exports %s* families", gone)
+		}
 	}
 
 	var vars map[string]json.RawMessage

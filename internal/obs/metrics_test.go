@@ -167,12 +167,14 @@ func TestHistogramBuckets(t *testing.T) {
 // into live metrics allocates nothing.
 func TestObserveAllocationFree(t *testing.T) {
 	h := NewHostMetrics()
+	var sm StreamMetrics
+	var pm PoolMetrics
 	allocs := testing.AllocsPerRun(100, func() {
 		h.Inference.RecordPredict(1500 * time.Nanosecond)
 		h.Inference.RecordBatch(64, false, time.Millisecond)
-		h.Stream.RecordSample()
-		h.Stream.RecordDecision()
-		h.Pool.RecordCollective(4, 4)
+		sm.RecordSample()
+		sm.RecordDecision()
+		pm.RecordCollective(4, 4)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording allocates %v times per run, want 0", allocs)
@@ -195,7 +197,6 @@ func TestPoolUtilization(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	h := NewHostMetrics()
 	h.Inference.RecordPredict(1500 * time.Nanosecond)
-	h.Inference.RecordBatch(64, true, time.Millisecond)
 	h.Serving.RecordPublish(time.Microsecond)
 	var buf bytes.Buffer
 	if err := h.Registry.WritePrometheus(&buf); err != nil {
@@ -205,8 +206,6 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"pulphd_serving_learn_latency_seconds_count 1",
 		"pulphd_serving_learn_latency_seconds_sum 1e-06",
-		"pulphd_predict_batch_windows_total 64",
-		"pulphd_predict_batch_serial_fallbacks_total 1",
 		"# TYPE pulphd_predict_latency_seconds histogram",
 		`pulphd_predict_latency_seconds_bucket{le="1.024e-06"} 0`,
 		`pulphd_predict_latency_seconds_bucket{le="2.048e-06"} 1`,
@@ -219,9 +218,9 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 	// Histogram bucket counts must be cumulative: the +Inf bucket of
-	// the batch histogram equals its count.
-	if !strings.Contains(out, `pulphd_predict_batch_latency_seconds_bucket{le="+Inf"} 1`) {
-		t.Error("batch histogram +Inf bucket is not cumulative")
+	// the learn histogram equals its count.
+	if !strings.Contains(out, `pulphd_serving_learn_latency_seconds_bucket{le="+Inf"} 1`) {
+		t.Error("learn histogram +Inf bucket is not cumulative")
 	}
 }
 
@@ -263,14 +262,15 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 
 func TestSnapshotAndExpvar(t *testing.T) {
 	h := NewHostMetrics()
-	h.Stream.RecordReplay(500, 100, 2*time.Millisecond)
+	h.Serving.RecordRequest(false)
+	h.Serving.RecordPublish(2 * time.Millisecond)
 	snap := h.Registry.Snapshot()
-	if got := snap["pulphd_stream_samples_total"]; got != int64(500) {
-		t.Fatalf("snapshot samples %v", got)
+	if got := snap["pulphd_serving_requests_total"]; got != int64(1) {
+		t.Fatalf("snapshot requests %v", got)
 	}
-	hist, ok := snap["pulphd_stream_replay_latency_seconds"].(map[string]any)
+	hist, ok := snap["pulphd_serving_learn_latency_seconds"].(map[string]any)
 	if !ok || hist["count"] != int64(1) || hist["sum_seconds"] != 0.002 {
-		t.Fatalf("snapshot histogram %v", snap["pulphd_stream_replay_latency_seconds"])
+		t.Fatalf("snapshot histogram %v", snap["pulphd_serving_learn_latency_seconds"])
 	}
 	// Publishing twice under one name must not panic.
 	h.Registry.PublishExpvar("pulphd_test_metrics")

@@ -131,14 +131,9 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// Populate everything, including hostile label values.
 	h.Inference.RecordPredict(300 * time.Nanosecond)
 	h.Inference.RecordStages(time.Microsecond, 2*time.Microsecond)
-	h.Inference.RecordBatch(3, true, time.Millisecond)
-	h.Stream.RecordSample()
-	h.Stream.RecordDecision()
-	h.Stream.RecordReplay(10, 2, time.Millisecond)
 	hostile := "cl\\ass\n\"A\""
 	h.Serving.RecordPublish(time.Microsecond)
 	h.Serving.RecordRequest(true)
-	h.Pool.RecordCollective(4, 4)
 	h.Models.RecordFleet(2, 1, 4096)
 	h.Models.RecordOp("emg", "learn")
 	h.Models.RecordOp(hostile, "predict")

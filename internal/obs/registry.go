@@ -354,14 +354,13 @@ func (r *Registry) sortedNames() []string {
 
 // HostMetrics bundles one metrics instance per instrumented host
 // package, registered under the canonical pulphd_* names (documented
-// in DESIGN.md §8). Wire it with hdc.SetMetrics(h.Inference),
-// hdc.SetServingMetrics(h.Serving), stream.SetMetrics(h.Stream) and
-// parallel.SetMetrics(h.Pool).
+// in DESIGN.md §8). Wire it with hdc.SetMetrics(h.Inference) and
+// hdc.SetServingMetrics(h.Serving). Only what `pulphd serve` feeds is
+// registered: the batched-inference fields of InferenceMetrics, and the
+// stream and worker-pool bundles, serve in-process callers only.
 type HostMetrics struct {
 	Inference *InferenceMetrics
 	Serving   *ServingMetrics
-	Stream    *StreamMetrics
-	Pool      *PoolMetrics
 	Fault     *FaultMetrics
 	// Models is the multi-tenant model-registry bundle (fleet gauges
 	// plus the per-model pulphd_model_* families); hand it to
@@ -375,20 +374,12 @@ func NewHostMetrics() *HostMetrics {
 	h := &HostMetrics{
 		Inference: &InferenceMetrics{},
 		Serving:   &ServingMetrics{},
-		Stream:    &StreamMetrics{},
-		Pool:      &PoolMetrics{},
 		Fault:     &FaultMetrics{},
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
 	r := h.Registry
 	r.RegisterHistogram("pulphd_predict_latency_seconds", "Predict latency in seconds", &h.Inference.PredictNanos)
-	r.RegisterCounter("pulphd_predict_batch_windows_total", "windows classified by PredictBatch", &h.Inference.BatchWindows)
-	r.RegisterHistogram("pulphd_predict_batch_latency_seconds", "PredictBatch call latency in seconds", &h.Inference.BatchNanos)
-	r.RegisterCounter("pulphd_predict_batch_serial_fallbacks_total", "PredictBatch calls that ran serially (nil pool)", &h.Inference.BatchSerialFallbacks)
-	r.RegisterCounter("pulphd_stream_samples_total", "samples pushed into stream classifiers", &h.Stream.Samples)
-	r.RegisterCounter("pulphd_stream_decisions_total", "decisions emitted by stream classifiers", &h.Stream.Decisions)
-	r.RegisterHistogram("pulphd_stream_replay_latency_seconds", "Replay call latency in seconds", &h.Stream.ReplayNanos)
 	r.RegisterHistogram("pulphd_predict_encode_latency_seconds", "per-request window-encode stage latency in seconds", &h.Inference.EncodeNanos)
 	r.RegisterHistogram("pulphd_predict_search_latency_seconds", "per-request AM-search stage latency in seconds", &h.Inference.SearchNanos)
 	r.RegisterHistogram("pulphd_serving_learn_latency_seconds", "Learn/Retrain publish latency in seconds", &h.Serving.LearnNanos)
@@ -398,13 +389,8 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered into a retry or a 500 response", &h.Serving.PanicsRecovered)
 	r.RegisterCounter("pulphd_serving_degraded_scans_total", "predicts that fell back to the flat AM scan after a shard failure", &h.Serving.DegradedScans)
-	r.RegisterCounter("pulphd_stream_predict_failures_total", "stream decisions dropped because prediction panicked", &h.Stream.PredictFailures)
 	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)
 	r.RegisterCounter("pulphd_fault_flipped_bits_total", "bits flipped by fault injection", &h.Fault.FlippedBits)
-	r.RegisterCounter("pulphd_pool_collectives_total", "worker-pool collective calls", &h.Pool.Collectives)
-	r.RegisterCounter("pulphd_pool_tasks_total", "chunks run by pool collectives (incl. the caller's)", &h.Pool.Tasks)
-	r.RegisterCounter("pulphd_pool_task_slots_total", "chunks pool collectives could have run (pool width); tasks/slots = utilization", &h.Pool.Slots)
-	r.RegisterCounter("pulphd_pool_serial_fallbacks_total", "collectives that ran entirely on the caller", &h.Pool.SerialFallbacks)
 	r.RegisterGauge("pulphd_registry_models", "models registered in the model registry", &h.Models.Models)
 	r.RegisterGauge("pulphd_registry_resident_models", "registry models currently resident in memory", &h.Models.ResidentModels)
 	r.RegisterGauge("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes", &h.Models.ResidentBytes)

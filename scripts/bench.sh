@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Runs the kernel, inference, /predict body-decode and handler
-# micro-benchmarks and stores the result in benchmarks/latest.txt for
-# review / comparison against the committed baseline. The
-# stored-vs-rematerialized encode stanza is additionally summarized
-# (median ns/op, B/op, allocs/op and resident model bytes per backend)
+# Runs the kernel, inference, /predict body-decode, handler and
+# loopback-transport micro-benchmarks and stores the result in
+# benchmarks/latest.txt for review / comparison against the committed
+# baseline. The stored-vs-rematerialized encode stanza is additionally
+# summarized (median ns/op, B/op, allocs/op and resident model bytes per backend)
 # into benchmarks/BENCH_remat.json.
 #
 # Usage: scripts/bench.sh [extra `go test` args]
@@ -27,7 +27,7 @@ go test -run '^$' \
   -bench 'BenchmarkParallelAMSearch$|BenchmarkParallelMajority$' \
   -benchmem -count "$COUNT" . "$@" | tee -a "$OUT"
 go test -run '^$' \
-  -bench 'BenchmarkPredictHandler$|BenchmarkDecodeWindow$' \
+  -bench 'BenchmarkPredictHandler$|BenchmarkDecodeWindow$|BenchmarkPredictLoopback$' \
   -benchmem -count "$COUNT" ./cmd/pulphd/ "$@" | tee -a "$OUT"
 
 # Stored-vs-remat encode comparison: appended to latest.txt so the
