@@ -122,6 +122,13 @@ func (l *connLoop) Serve(ln net.Listener) error {
 		c := &conn{loop: l, rwc: rwc}
 		c.state.Store(packState(stateNew))
 		l.mu.Lock()
+		if l.shutdown.Load() {
+			// Accepted just before the listener closed; Shutdown may
+			// already have found no connections left.
+			l.mu.Unlock()
+			rwc.Close()
+			return http.ErrServerClosed
+		}
 		l.conns[c] = struct{}{}
 		l.mu.Unlock()
 		go c.serve()
