@@ -41,6 +41,11 @@ import (
 // Also by design: every response is Content-Length framed (a handler's
 // Transfer-Encoding is dropped, nothing is chunked, trailers are not
 // sent), and the ResponseWriter offers no Flusher or Hijacker.
+//
+// Every socket read and write goes through newSockIO's reader and
+// writer, which on linux are raw non-blocking system calls
+// (rawsock_linux.go) so that a request does not wake the runtime's
+// sysmon thread.
 
 const (
 	// headerReadLimit is net/http's read allowance for a request's
@@ -75,6 +80,14 @@ type connLoop struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*conn]struct{}
+
+	date atomic.Pointer[cachedDate]
+}
+
+// cachedDate is a formatted "Date: ...\r\n" header line for one second.
+type cachedDate struct {
+	sec  int64
+	line []byte
 }
 
 func newConnLoop(h http.Handler, log *slog.Logger) *connLoop {
@@ -120,7 +133,8 @@ func (l *connLoop) Serve(ln net.Listener) error {
 		}
 		backoff = 0
 		c := &conn{loop: l, rwc: rwc}
-		c.state.Store(packState(stateNew))
+		// Only a new connection carries a timestamp: closeIdle reads it.
+		c.state.Store(uint64(time.Now().Unix())<<8 | stateNew)
 		l.mu.Lock()
 		if l.shutdown.Load() {
 			// Accepted just before the listener closed; Shutdown may
@@ -179,9 +193,10 @@ func (l *connLoop) stopAccepting() error {
 }
 
 // closeIdle closes every idle connection, and every new one that has
-// sent nothing for 5 s, as net/http.Server does; it reports whether no
-// connection is left. The compare-and-swap loses to a connection that
-// has just claimed its next request, which is then served to the end.
+// sent nothing in the 5 s since it was accepted, as net/http.Server
+// does; it reports whether no connection is left. The compare-and-swap
+// loses to a connection that has just claimed its next request, which
+// is then served to the end.
 func (l *connLoop) closeIdle() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,7 +204,7 @@ func (l *connLoop) closeIdle() bool {
 	for c := range l.conns {
 		v := c.state.Load()
 		st, since := v&0xff, int64(v>>8)
-		if (st == stateIdle || st == stateNew && since < now-5) && c.state.CompareAndSwap(v, packState(stateClosed)) {
+		if (st == stateIdle || st == stateNew && since < now-5) && c.state.CompareAndSwap(v, stateClosed) {
 			c.rwc.Close()
 			delete(l.conns, c)
 		}
@@ -197,14 +212,24 @@ func (l *connLoop) closeIdle() bool {
 	return len(l.conns) == 0
 }
 
-// packState stamps a connection state with the time it was entered.
-func packState(st uint64) uint64 { return uint64(time.Now().Unix())<<8 | st }
+// dateHeader returns the Date header line for now, formatting it at
+// most once per second across all connections.
+func (l *connLoop) dateHeader(now time.Time) []byte {
+	sec := now.Unix()
+	if d := l.date.Load(); d != nil && d.sec == sec {
+		return d.line
+	}
+	line := append(now.UTC().AppendFormat([]byte("Date: "), http.TimeFormat), "\r\n"...)
+	l.date.Store(&cachedDate{sec: sec, line: line})
+	return line
+}
 
 // conn is one client connection; its goroutine owns everything but
 // state.
 type conn struct {
 	loop       *connLoop
 	rwc        net.Conn
+	sock       io.ReadWriter // rwc's socket I/O, from newSockIO
 	state      atomic.Uint64
 	remote     string
 	r          connReader
@@ -218,7 +243,7 @@ type conn struct {
 // bytes read while a header is parsed; while recording, every byte read
 // is kept so the raw header stays inspectable.
 type connReader struct {
-	rwc       net.Conn
+	src       io.Reader
 	remain    int64
 	recording bool
 	rec       []byte
@@ -231,7 +256,7 @@ func (r *connReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > r.remain {
 		p = p[:r.remain]
 	}
-	n, err := r.rwc.Read(p)
+	n, err := r.src.Read(p)
 	r.remain -= int64(n)
 	if r.recording {
 		r.rec = append(r.rec, p[:n]...)
@@ -247,7 +272,7 @@ func (c *conn) claim() bool {
 		if v&0xff == stateClosed {
 			return false
 		}
-		if c.state.CompareAndSwap(v, packState(stateActive)) {
+		if c.state.CompareAndSwap(v, stateActive) {
 			return true
 		}
 	}
@@ -268,7 +293,8 @@ func (c *conn) serve() {
 	if ra := c.rwc.RemoteAddr(); ra != nil {
 		c.remote = ra.String()
 	}
-	c.r.rwc, c.r.remain = c.rwc, math.MaxInt64
+	c.sock = newSockIO(c.rwc)
+	c.r.src, c.r.remain = c.sock, math.MaxInt64
 	c.br = bufio.NewReader(&c.r)
 	for first := true; ; first = false {
 		// Block until the next request starts arriving (net/http waits
@@ -307,7 +333,7 @@ func (c *conn) serve() {
 			}
 			return
 		}
-		c.state.Store(packState(stateIdle))
+		c.state.Store(stateIdle)
 		if c.loop.shutdown.Load() {
 			return
 		}
@@ -339,20 +365,20 @@ func (c *conn) readRequest() (req *http.Request, ok bool) {
 		switch {
 		case c.r.remain <= 0:
 			const msg = "431 Request Header Fields Too Large"
-			io.WriteString(c.rwc, "HTTP/1.1 "+msg+errorHeaders+msg)
+			io.WriteString(c.sock, "HTTP/1.1 "+msg+errorHeaders+msg)
 			c.closeWriteAndWait()
 		case reflect.TypeOf(err).String() == "*http.unsupportedTEError":
-			io.WriteString(c.rwc, "HTTP/1.1 501 Not Implemented"+errorHeaders+"Unsupported transfer encoding")
+			io.WriteString(c.sock, "HTTP/1.1 501 Not Implemented"+errorHeaders+"Unsupported transfer encoding")
 		case err == io.EOF, errors.As(err, &ne) && ne.Timeout(), errors.As(err, &oe) && oe.Op == "read":
 			// The client went away; nobody to answer.
 		default:
-			io.WriteString(c.rwc, "HTTP/1.1 400 Bad Request"+errorHeaders+"400 Bad Request")
+			io.WriteString(c.sock, "HTTP/1.1 400 Bad Request"+errorHeaders+"400 Bad Request")
 		}
 		return nil, false
 	}
 	refuse := func(code int, text string) (*http.Request, bool) {
 		msg := fmt.Sprintf("%d %s: %s", code, http.StatusText(code), text)
-		io.WriteString(c.rwc, "HTTP/1.1 "+msg+errorHeaders+msg)
+		io.WriteString(c.sock, "HTTP/1.1 "+msg+errorHeaders+msg)
 		return nil, false
 	}
 	if req.ProtoMajor != 1 && !(req.ProtoMajor == 2 && req.ProtoMinor == 0 && req.Method == "PRI" && req.RequestURI == "*") {
@@ -506,9 +532,7 @@ func (c *conn) finish(w *response) bool {
 	writeStatusLine(out, req.ProtoAtLeast(1, 1), code)
 	h.Write(out)
 	if _, ok := h["Date"]; !ok {
-		out.WriteString("Date: ")
-		out.Write(time.Now().UTC().AppendFormat(out.AvailableBuffer(), http.TimeFormat))
-		out.WriteString("\r\n")
+		out.Write(c.loop.dateHeader(time.Now()))
 	}
 	if w.autoLength {
 		out.WriteString("Content-Length: ")
@@ -526,7 +550,7 @@ func (c *conn) finish(w *response) bool {
 	if !isHEAD && bodyAllowed {
 		out.Write(w.buf)
 	}
-	_, err := c.rwc.Write(out.Bytes())
+	_, err := c.sock.Write(out.Bytes())
 	if out.Cap() > 64<<10 {
 		c.out = bytes.Buffer{}
 	}
@@ -613,7 +637,7 @@ func (w *response) WriteHeader(code int) {
 		writeStatusLine(&out, w.req.ProtoAtLeast(1, 1), code)
 		w.header.WriteSubset(&out, map[string]bool{"Content-Length": true, "Transfer-Encoding": true})
 		out.WriteString("\r\n")
-		w.c.rwc.Write(out.Bytes())
+		w.c.sock.Write(out.Bytes())
 		return
 	}
 	w.wroteHeader, w.status = true, code
@@ -680,7 +704,7 @@ func (b *reqBody) Read(p []byte) (int, error) {
 	}
 	if b.w.canContinue {
 		b.w.canContinue = false
-		io.WriteString(b.w.c.rwc, "HTTP/1.1 100 Continue\r\n\r\n")
+		io.WriteString(b.w.c.sock, "HTTP/1.1 100 Continue\r\n\r\n")
 	}
 	n, err := b.src.Read(p)
 	b.read += int64(n)

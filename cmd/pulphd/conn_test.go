@@ -469,3 +469,39 @@ func TestConnLoopConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConnLoopDateCache pins the per-second Date cache: every line
+// equals net/http's http.TimeFormat for the same second, a second's
+// line is formatted once, and concurrent connections share it safely.
+func TestConnLoopDateCache(t *testing.T) {
+	loop := newConnLoop(http.NotFoundHandler(), slog.New(slog.NewTextHandler(io.Discard, nil)))
+	base := time.Date(2026, 3, 1, 23, 59, 59, 0, time.FixedZone("X", -7*3600))
+	want := func(at time.Time) string { return "Date: " + at.UTC().Format(http.TimeFormat) + "\r\n" }
+	first := loop.dateHeader(base)
+	for _, at := range []time.Time{base, base.Add(999 * time.Millisecond), base.Add(time.Second), base.Add(-time.Second), base.Add(400 * 24 * time.Hour)} {
+		if got := loop.dateHeader(at); string(got) != want(at) {
+			t.Fatalf("dateHeader(%v) = %q, want %q", at, got, want(at))
+		}
+	}
+	if string(first) != want(base) {
+		t.Fatalf("an earlier line changed to %q", first)
+	}
+	if a, b := loop.dateHeader(base), loop.dateHeader(base.Add(time.Millisecond)); &a[0] != &b[0] {
+		t.Fatal("the same second was formatted twice")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				at := base.Add(time.Duration(i%3) * time.Second)
+				if got := loop.dateHeader(at); string(got) != want(at) {
+					t.Errorf("concurrent dateHeader(%v) = %q", at, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

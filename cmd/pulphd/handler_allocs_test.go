@@ -19,3 +19,15 @@ func TestPredictHandlerAllocs(t *testing.T) {
 		t.Fatalf("/predict handler allocates %v/op, want ≤ 22", allocs)
 	}
 }
+
+// TestConnLoopAllocs pins the loopback /predict round trip of
+// BenchmarkPredictLoopback, client and connection loop together, so
+// that a per-request closure or buffer in the transport shows here. It
+// measured 24 allocs/op.
+func TestConnLoopAllocs(t *testing.T) {
+	roundTrip := loopbackPredict(t, serveConnLoop)
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 24 {
+		t.Fatalf("loopback /predict allocates %v/op, want ≤ 24", allocs)
+	}
+}

@@ -71,40 +71,47 @@ func BenchmarkPredictHandler(b *testing.B) {
 	}
 }
 
-// benchLoopback times /predict over real loopback TCP: one keep-alive
-// client writes the request and parses the answer, so ns/op is the
-// round trip and allocs/op counts both ends. serve starts a server for
-// the full `pulphd serve` mux on ln.
-func benchLoopback(b *testing.B, serve func(ln net.Listener, h http.Handler) (stop func())) {
-	api, body := handlerAPI(b)
+// loopbackPredict serves the full `pulphd serve` mux through serve on
+// a loopback port until the test ends, and returns one /predict round
+// trip over a keep-alive raw-TCP client that writes the request and
+// parses the answer; the first round trip has already run.
+func loopbackPredict(tb testing.TB, serve func(ln net.Listener, h http.Handler) (stop func())) (roundTrip func()) {
+	api, body := handlerAPI(tb)
 	mux := newMetricsMux(obs.NewHostMetrics())
 	api.register(mux)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer serve(ln, mux)()
+	tb.Cleanup(serve(ln, mux))
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(func() { c.Close() })
 	req := []byte(rawPost("/predict", "Content-Type: application/json\r\n", string(body)))
 	br := bufio.NewReader(c)
 	post := &http.Request{Method: http.MethodPost}
-	roundTrip := func() {
+	roundTrip = func() {
 		if _, err := c.Write(req); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		resp, err := http.ReadResponse(br, post)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("predict: %d %v", resp.StatusCode, err)
+			tb.Fatalf("predict: %d %v", resp.StatusCode, err)
 		}
 	}
 	roundTrip()
+	return roundTrip
+}
+
+// benchLoopback times /predict over real loopback TCP, so ns/op is the
+// round trip and allocs/op counts both ends.
+func benchLoopback(b *testing.B, serve func(ln net.Listener, h http.Handler) (stop func())) {
+	roundTrip := loopbackPredict(b, serve)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,14 +119,17 @@ func benchLoopback(b *testing.B, serve func(ln net.Listener, h http.Handler) (st
 	}
 }
 
+// serveConnLoop starts the connection loop `pulphd serve` runs.
+func serveConnLoop(ln net.Listener, h http.Handler) (stop func()) {
+	loop := newConnLoop(h, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	go loop.Serve(ln)
+	return func() { loop.Close() }
+}
+
 // BenchmarkPredictLoopback is the transport stage's micro-benchmark:
 // /predict through the connection loop `pulphd serve` runs.
 func BenchmarkPredictLoopback(b *testing.B) {
-	benchLoopback(b, func(ln net.Listener, h http.Handler) func() {
-		loop := newConnLoop(h, slog.New(slog.NewTextHandler(io.Discard, nil)))
-		go loop.Serve(ln)
-		return func() { loop.Close() }
-	})
+	benchLoopback(b, serveConnLoop)
 }
 
 // BenchmarkPredictLoopbackNetHTTP is the same round trip through
