@@ -16,7 +16,6 @@ import (
 
 	"pulphd/internal/emg"
 	"pulphd/internal/experiments"
-	"pulphd/internal/fault"
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
 	"pulphd/internal/obs/flight"
@@ -32,7 +31,6 @@ func enableHostMetrics() *obs.HostMetrics {
 	h := obs.NewHostMetrics()
 	hdc.SetMetrics(h.Inference)
 	hdc.SetServingMetrics(h.Serving)
-	fault.SetMetrics(h.Fault)
 	h.Registry.PublishExpvar("pulphd_metrics")
 	return h
 }
@@ -109,7 +107,7 @@ type serveFlags struct {
 	role, peers, primary                                         *string
 	demo, walSync                                                *bool
 	shards, queueDepth                                           *int
-	traceRequests, flightKeep, predictRetries, chaosShard        *int
+	traceRequests, flightKeep, predictRetries                    *int
 	snapshotEvery                                                *int
 	seed, residentBudget                                         *int64
 	grace, predictTimeout, retryBackoff, sloLatency              *time.Duration
@@ -131,7 +129,7 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.logLevel = fs.String("log-level", "info", "structured log level: debug, info, warn or error (debug logs every request with its id)")
 	sf.logFormat = fs.String("log-format", "text", "structured log format: text or json")
 	sf.traceRequests = fs.Int("trace-requests", 32, "request span timelines retained for /debug/spans; 0 disables request tracing")
-	sf.flightKeep = fs.Int("flight", 128, "tail-event timelines the always-on flight recorder retains for /debug/flight (timeouts, errors, sheds, retries, degraded scans, over-SLO requests); 0 disables")
+	sf.flightKeep = fs.Int("flight", 128, "tail-event timelines the always-on flight recorder retains for /debug/flight (timeouts, errors, sheds, retries, over-SLO requests); 0 disables")
 	sf.sloLatency = fs.Duration("slo-latency", 50*time.Millisecond, "default per-model SLO latency objective; requests slower than this count against the latency target and trip the flight recorder's slow trigger (0 disables the SLO engine)")
 	sf.sloTarget = fs.Float64("slo-latency-target", 0.99, "fraction of requests that must meet the latency objective")
 	sf.sloBudget = fs.Float64("slo-error-budget", 0.01, "fraction of requests allowed to fail before the error burn rate rises")
@@ -140,7 +138,6 @@ func newServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf.predictTimeout = fs.Duration("predict-timeout", 0, "per-request /predict deadline; expired requests get 504 (0 disables)")
 	sf.predictRetries = fs.Int("predict-retries", 2, "bounded retries after a recovered predict panic before answering 500")
 	sf.retryBackoff = fs.Duration("retry-backoff", 2*time.Millisecond, "initial backoff between predict retries, doubling per attempt")
-	sf.chaosShard = fs.Int("chaos-shard", -1, "fault injection: panic every sharded scan of this AM shard index, exercising the degraded flat-scan fallback; needs -shards > 1 (-1 disables)")
 	sf.imBackend = fs.String("im-backend", "stored", "item-memory backend for the served model: stored or remat")
 	sf.stateDir = fs.String("state-dir", "", "model-registry state `directory` (snapshots + write-ahead logs); restarts recover every model from it. Empty: models live in memory only")
 	sf.residentBudget = fs.Int64("resident-budget", 0, "resident-bytes budget across registry models; past it, least-recently-used models evict to disk and fault back in on demand (0: unlimited; needs -state-dir)")
@@ -166,7 +163,7 @@ func runServe(args []string) int {
 	traceRequests, flightKeep := sf.traceRequests, sf.flightKeep
 	sloLatency, sloTarget, sloBudget, sloBurn := sf.sloLatency, sf.sloTarget, sf.sloBudget, sf.sloBurn
 	grace, predictTimeout, predictRetries, retryBackoff := sf.grace, sf.predictTimeout, sf.predictRetries, sf.retryBackoff
-	chaosShard, imBackend, stateDir, residentBudget := sf.chaosShard, sf.imBackend, sf.stateDir, sf.residentBudget
+	imBackend, stateDir, residentBudget := sf.imBackend, sf.stateDir, sf.residentBudget
 	walSync, snapshotEvery, defaultModel := sf.walSync, sf.snapshotEvery, sf.defaultModel
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pulphd serve [-metrics-addr host:port] [-shards n] [-queue-depth n] [-log-level l] [-trace-requests n]\n\n")
@@ -335,15 +332,6 @@ func runServe(args []string) int {
 		}
 		api.slo = sloeng.New(sloCfg)
 		api.slo.RegisterMetrics(h.Registry)
-	}
-	if sh := *chaosShard; sh >= 0 {
-		logger.Warn("chaos enabled: sharded scans of one AM shard will panic", "shard", sh)
-		hdc.SetShardChaos(func(shard int) {
-			if shard == sh {
-				panic(fmt.Sprintf("chaos: shard %d down", shard))
-			}
-		})
-		defer hdc.SetShardChaos(nil)
 	}
 	api.readOnly = role == "replica"
 	api.register(mux)

@@ -61,7 +61,7 @@ var errDeadline = errors.New("predict deadline exceeded")
 
 // predictResult is one answered predict: the winning class, the
 // generation the predict actually scanned, and the flight-recorder
-// trigger bits it raised (retried, degraded).
+// trigger bits it raised (retried).
 type predictResult struct {
 	label      string
 	distance   int
@@ -192,11 +192,11 @@ func (s *apiServer) backoff(attempt int) time.Duration {
 // predict classifies one decoded window on the calling goroutine with
 // bounded retries. Before every attempt the request's deadline is
 // checked (errDeadline, a 504). A panicking attempt — a poisoned model,
-// a crash the per-shard fallback could not absorb — is recovered, and
-// the attempt repeats on a fresh session after a doubling backoff;
-// when the retry budget is spent the request fails with
-// errPredictPanic (a 500). The process never dies with it. The result
-// carries the TrigRetry bit whenever more than one attempt ran.
+// a crashed AM scan — is recovered, and the attempt repeats on a fresh
+// session after a doubling backoff; when the retry budget is spent the
+// request fails with errPredictPanic (a 500). The process never dies
+// with it. The result carries the TrigRetry bit whenever more than one
+// attempt ran.
 func (s *apiServer) predict(ctx context.Context, sv *hdc.Serving, window [][]float64, start time.Time) (predictResult, error) {
 	var trig flight.Trigger
 	for attempt := 0; ; attempt++ {
@@ -225,9 +225,7 @@ func (s *apiServer) predict(ctx context.Context, sv *hdc.Serving, window [][]flo
 // error. hdc.Serving.PredictCtx leaves the session it panicked in out
 // of its pool, so the retry starts clean. The generation is the one
 // the predict's own atomic load scanned — a /learn can publish
-// mid-predict and make any generation read earlier stale — and a
-// fallback to the flat AM scan after a shard failure raises the
-// degraded trigger.
+// mid-predict and make any generation read earlier stale.
 func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]float64) (res predictResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -236,11 +234,7 @@ func (s *apiServer) tryPredict(ctx context.Context, sv *hdc.Serving, window [][]
 			err = fmt.Errorf("recovered: %v", r)
 		}
 	}()
-	var degraded bool
-	res.label, res.distance, res.generation, degraded = sv.PredictCtx(ctx, window)
-	if degraded {
-		res.trig = flight.TrigDegraded
-	}
+	res.label, res.distance, res.generation = sv.PredictCtx(ctx, window)
 	return res, nil
 }
 

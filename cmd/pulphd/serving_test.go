@@ -12,9 +12,7 @@ import (
 
 	"pulphd/internal/hdc"
 	"pulphd/internal/obs"
-	"pulphd/internal/parallel"
 	modreg "pulphd/internal/registry"
-	"pulphd/internal/stream"
 )
 
 // testServingConfig keeps the handler tests fast.
@@ -249,8 +247,6 @@ func TestServingMetricsEndpoint(t *testing.T) {
 	t.Cleanup(func() {
 		hdc.SetMetrics(nil)
 		hdc.SetServingMetrics(nil)
-		stream.SetMetrics(nil)
-		parallel.SetMetrics(nil)
 	})
 	sv, err := hdc.NewServing(testServingConfig(), 4)
 	if err != nil {

@@ -185,31 +185,3 @@ func TestValidate(t *testing.T) {
 		t.Fatal("BER > 1 accepted")
 	}
 }
-
-// countingSink is a test MetricsSink.
-type countingSink struct {
-	calls, bits int
-}
-
-func (s *countingSink) RecordInjection(flips int) {
-	s.calls++
-	s.bits += flips
-}
-
-// TestMetrics checks the sink wiring counts injections and bits.
-func TestMetrics(t *testing.T) {
-	sink := &countingSink{}
-	SetMetrics(sink)
-	defer SetMetrics(nil)
-	m := Model{BER: 1, Seed: 1}
-	v := hv.New(64)
-	m.CorruptVector(SiteOf(PointAM, 0), v)
-	if sink.calls != 1 || sink.bits != 64 {
-		t.Fatalf("metrics: %d injections, %d bits", sink.calls, sink.bits)
-	}
-	// BER=0 must not count.
-	Model{}.CorruptVector(SiteOf(PointAM, 0), v)
-	if sink.calls != 1 {
-		t.Fatal("BER=0 counted an injection")
-	}
-}

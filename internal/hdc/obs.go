@@ -12,15 +12,16 @@ import (
 var metricsPtr atomic.Pointer[obs.InferenceMetrics]
 
 // SetMetrics installs (or, with nil, removes) the metrics sink for
-// Predict and PredictBatch across the package. Safe to call at any
+// Predict and PredictCtx across the package: call latency and, on
+// PredictCtx, the encode/search stage split. Safe to call at any
 // time, including while inference is running.
 func SetMetrics(m *obs.InferenceMetrics) { metricsPtr.Store(m) }
 
 // metrics returns the installed sink, nil when disabled.
 func metrics() *obs.InferenceMetrics { return metricsPtr.Load() }
 
-// servingMetricsPtr holds the serving-layer metrics (learn latency,
-// degraded scans). Nil disables recording, as above.
+// servingMetricsPtr holds the serving-layer metrics (generation
+// publish latency). Nil disables recording, as above.
 var servingMetricsPtr atomic.Pointer[obs.ServingMetrics]
 
 // SetServingMetrics installs (or, with nil, removes) the metrics sink

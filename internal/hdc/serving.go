@@ -32,41 +32,6 @@ import (
 //     breaks majority ties deterministically to 0, like the
 //     accelerator's rule, so no rng stream is involved).
 
-// shardChaosPtr holds the fault hook of the serving search path: when
-// installed, the hook runs before every sharded scan on the worker
-// executing it, and a panic it raises exercises the degraded-mode
-// machinery end to end. It is called only from the Session fan-out —
-// never from ShardedAM.SearchShard itself — so the flat-scan fallback
-// cannot re-enter the fault.
-var shardChaosPtr atomic.Pointer[func(shard int)]
-
-// SetShardChaos installs (or, with nil, removes) a fault-injection
-// hook called with the shard index before every sharded AM scan of
-// every Session. A panicking hook simulates a crashing shard worker:
-// the session converts it into the degraded flat-scan fallback instead
-// of dying. Test and chaos tooling only; keep it nil in production.
-func SetShardChaos(fn func(shard int)) {
-	if fn == nil {
-		shardChaosPtr.Store(nil)
-		return
-	}
-	shardChaosPtr.Store(&fn)
-}
-
-// shardChaos returns the installed chaos hook, or nil.
-func shardChaos() func(shard int) {
-	if p := shardChaosPtr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// failedShard is the sentinel a recovered shard scan leaves in the
-// session scratch: impossible as a real result (SearchShard distances
-// are ≥ 0), it marks the slot for the degraded-mode check without any
-// shared failure flag — each worker writes only its own slots.
-var failedShard = ShardBest{Index: -1, Distance: -1}
-
 // Sample is one labelled training window, the unit Learn and Retrain
 // consume.
 type Sample struct {
@@ -431,20 +396,20 @@ func (sv *Serving) Predict(window [][]float64) (label string, distance int) {
 // PredictCtx is Session.PredictCtx with no pool over a pooled Session:
 // the serial shard loop runs on the caller, so any number of request
 // goroutines may call it concurrently. It also returns the generation
-// the predict actually scanned and whether it degraded to the flat
-// scan. A panic escaping the predict propagates with the Session left
-// out of the pool, so a caller that recovers and retries starts from a
-// fresh one.
-func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64, degraded bool) {
+// the predict actually scanned. A panic escaping the predict
+// propagates with the Session left out of the pool, so a caller that
+// recovers and retries starts from a fresh one.
+func (sv *Serving) PredictCtx(ctx context.Context, window [][]float64) (label string, distance int, generation uint64) {
 	ses := sv.session()
 	label, distance = ses.PredictCtx(ctx, nil, window)
-	generation, degraded = ses.lastGen, ses.lastDegraded
+	generation = ses.lastGen
 	sv.sessions.Put(ses)
-	return label, distance, generation, degraded
+	return label, distance, generation
 }
 
 // Session is a per-goroutine serving handle: encode scratch plus the
-// pre-bound shard fan-out, so steady-state Predicts allocate nothing.
+// pre-bound shard loop (run serially or fanned over a pool), so
+// steady-state Predicts allocate nothing.
 // Many Sessions share one Serving; a Session itself must not be used
 // concurrently. Sessions stay valid across generation swaps — every
 // call re-loads the current generation.
@@ -466,10 +431,6 @@ type Session struct {
 	// the accesses, exactly as for am above).
 	rec        *obs.Spans
 	searchSpan obs.SpanID
-	// lastDegraded records whether the most recent predict fell back to
-	// the flat scan after a shard failure — the tail-event bit the
-	// flight recorder captures. Single-goroutine, like lastGen.
-	lastDegraded bool
 }
 
 // NewSession returns a fresh serving handle.
@@ -483,47 +444,13 @@ func (sv *Serving) NewSession() *Session {
 	return s
 }
 
-// searchShard scans one shard into the session scratch, converting a
-// panic — a chaos hook, a corrupted shard, a crashed worker — into the
-// failedShard sentinel so the collective completes and the caller can
-// fall back to the flat scan. The recover is per shard: the worker's
-// remaining shards still run, and the pool barrier is never abandoned
-// mid-collective.
+// searchShard scans one shard into the session scratch.
 func (s *Session) searchShard(sh int) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.scratch[sh] = failedShard
-		}
-	}()
-	if chaos := shardChaos(); chaos != nil {
-		chaos(sh)
-	}
 	rec := s.rec
 	id := rec.StartTrack("am.shard", s.searchSpan, int32(1+sh))
 	rec.Annotate(id, "shard", int64(sh))
 	s.scratch[sh] = s.am.SearchShard(sh, s.ctx.query)
 	rec.End(id)
-}
-
-// reduceOrFallback merges the per-shard results, detecting failed
-// shards (recovered panics) and redoing the whole search as a serial
-// flat scan over the generation's prototypes — degraded but correct:
-// the fallback touches no pool, no chaos hook, and no shard machinery.
-// Degraded scans count in the serving metrics, raise the session's
-// Degraded flag, and record an am.degraded span under parent when a
-// recorder rides the request.
-func (s *Session) reduceOrFallback(am *ShardedAM, rec *obs.Spans, parent obs.SpanID) (int, int) {
-	for _, r := range s.scratch {
-		if r == failedShard {
-			s.lastDegraded = true
-			servingMetrics().RecordDegraded()
-			id := rec.Start("am.degraded", parent)
-			idx, dist := am.NearestInto(nil, s.ctx.query, nil)
-			rec.End(id)
-			return idx, dist
-		}
-	}
-	return Reduce(s.scratch)
 }
 
 // predict encodes window and searches the current generation, fanning
@@ -536,7 +463,6 @@ func (s *Session) predict(pool *parallel.Pool, window [][]float64) (string, int)
 		panic("hdc: Serving.Predict with no classes")
 	}
 	s.lastGen = gen.id
-	s.lastDegraded = false
 	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
 	idx, dist := s.search(am, pool, nil, obs.NoSpan)
 	return am.labels[idx], dist
@@ -544,9 +470,8 @@ func (s *Session) predict(pool *parallel.Pool, window [][]float64) (string, int)
 
 // search scans am for the session's encoded query. A single-shard AM
 // takes the flat scan; otherwise every shard runs through searchShard —
-// fanned over pool, or serially on the caller when pool is nil — so
-// the chaos hook, the per-shard recover and the degraded fallback
-// guard both paths, and the result is bit-identical either way.
+// fanned over pool, or serially on the caller when pool is nil — and
+// Reduce merges them, bit-identical to the flat scan either way.
 func (s *Session) search(am *ShardedAM, pool *parallel.Pool, rec *obs.Spans, parent obs.SpanID) (int, int) {
 	n := am.Shards()
 	if n == 1 {
@@ -563,15 +488,17 @@ func (s *Session) search(am *ShardedAM, pool *parallel.Pool, rec *obs.Spans, par
 		pool.ForRange(n, s.fn)
 	}
 	s.am, s.rec, s.searchSpan = nil, nil, obs.NoSpan
-	return s.reduceOrFallback(am, rec, parent)
+	return Reduce(s.scratch)
 }
 
 // PredictCtx classifies one window with request-scoped observability:
 // when ctx carries an obs.Spans recorder (obs.WithSpans) the encode,
 // the AM search, and each shard scan record as spans under the
 // recorder's staged parent, and the per-stage latency histograms fill.
-// With no recorder and no metrics sink installed it is byte-for-byte
-// the plain predict path — zero allocations, one context lookup.
+// A non-nil pool fans the shard scans over its workers, bit-identical
+// to the serial loop. With no recorder and no metrics sink installed
+// it is byte-for-byte the plain predict path — zero allocations, one
+// context lookup.
 func (s *Session) PredictCtx(ctx context.Context, pool *parallel.Pool, window [][]float64) (label string, distance int) {
 	rec := obs.SpansFrom(ctx)
 	m := metrics()
@@ -597,7 +524,6 @@ func (s *Session) predictStaged(rec *obs.Spans, m *obs.InferenceMetrics, parent 
 		panic("hdc: Serving.Predict with no classes")
 	}
 	s.lastGen = gen.id
-	s.lastDegraded = false
 	encStart := time.Now()
 	enc := rec.Start("encode", parent)
 	s.ctx.encodeTo(s.ctx.query, window, s.sv.cfg.NGram)
@@ -620,11 +546,6 @@ func (s *Session) predictStaged(rec *obs.Spans, m *obs.InferenceMetrics, parent 
 // the session may read it.
 func (s *Session) Generation() uint64 { return s.lastGen }
 
-// Degraded reports whether the session's most recent predict fell back
-// to the flat scan after a shard failure. Single-goroutine, like
-// Generation.
-func (s *Session) Degraded() bool { return s.lastDegraded }
-
 // Predict classifies one window with a serial AM scan: the flat scan
 // for a single-shard AM, the shard loop on the caller otherwise.
 func (s *Session) Predict(window [][]float64) (label string, distance int) {
@@ -637,21 +558,6 @@ func (s *Session) Predict(window [][]float64) (label string, distance int) {
 	return s.predict(nil, window)
 }
 
-// PredictSharded classifies one window with the per-class Hamming
-// searches fanned out across pool, one contiguous class shard per
-// chunk — the latency-optimized path for many-class AMs. The pool is
-// driven for the duration of the call; concurrent Sessions each bring
-// their own pool (they are cheap). Bit-identical to Predict.
-func (s *Session) PredictSharded(pool *parallel.Pool, window [][]float64) (label string, distance int) {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		label, distance = s.predict(pool, window)
-		m.RecordPredict(time.Since(start))
-		return label, distance
-	}
-	return s.predict(pool, window)
-}
-
 // PredictBatch classifies every window in order against the current
 // generation, sharding each AM search over pool (nil pool: serial).
 // Results land in out, grown only when its capacity is short, so
@@ -660,16 +566,6 @@ func (s *Session) PredictSharded(pool *parallel.Pool, window [][]float64) (label
 // applies to the remaining windows — batch callers who need one
 // consistent snapshot classify against AM() directly.
 func (s *Session) PredictBatch(pool *parallel.Pool, windows [][][]float64, out []Prediction) []Prediction {
-	if m := metrics(); m != nil {
-		start := time.Now()
-		out = s.predictBatch(pool, windows, out)
-		m.RecordBatch(len(windows), pool == nil, time.Since(start))
-		return out
-	}
-	return s.predictBatch(pool, windows, out)
-}
-
-func (s *Session) predictBatch(pool *parallel.Pool, windows [][][]float64, out []Prediction) []Prediction {
 	if cap(out) < len(windows) {
 		out = make([]Prediction, len(windows))
 	}

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,11 +51,12 @@ func BenchmarkServingPredictSharded(b *testing.B) {
 	pool := parallel.NewPool(8)
 	defer pool.Close()
 	ses := sv.NewSession()
-	ses.PredictSharded(pool, window)
+	ctx := context.Background()
+	ses.PredictCtx(ctx, pool, window)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ses.PredictSharded(pool, window)
+		ses.PredictCtx(ctx, pool, window)
 	}
 }
 

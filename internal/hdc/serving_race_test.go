@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -71,7 +72,7 @@ func TestServingConcurrentPredictLearn(t *testing.T) {
 				ses := sv.NewSession()
 				w := syntheticSamples(cfg, 6, 1, r)[0].Window
 				for !stop.Load() {
-					label, dist := ses.PredictSharded(pool, w)
+					label, dist := ses.PredictCtx(context.Background(), pool, w)
 					if !valid[label] || dist < 0 || dist > cfg.D {
 						t.Errorf("sharded reader observed (%q,%d)", label, dist)
 						return

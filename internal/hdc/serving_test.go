@@ -1,7 +1,12 @@
 package hdc
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -221,7 +226,7 @@ func TestServingPredictShardedMatchesSerial(t *testing.T) {
 		ses := sv.NewSession()
 		for _, s := range syntheticSamples(sv.Config(), 5, 20, rng) {
 			wantLabel, wantDist := ses.Predict(s.Window)
-			label, dist := ses.PredictSharded(pool, s.Window)
+			label, dist := ses.PredictCtx(context.Background(), pool, s.Window)
 			if label != wantLabel || dist != wantDist {
 				t.Fatalf("shards=%d: sharded (%q,%d) != serial (%q,%d)", shards, label, dist, wantLabel, wantDist)
 			}
@@ -283,7 +288,7 @@ func TestServingPredictAllocationFree(t *testing.T) {
 	out := make([]Prediction, len(windows))
 	// Warm up scratch growth.
 	ses.Predict(w)
-	ses.PredictSharded(pool, w)
+	ses.PredictCtx(context.Background(), pool, w)
 	out = ses.PredictBatch(pool, windows, out)
 
 	check := func(name string, f func()) {
@@ -293,7 +298,7 @@ func TestServingPredictAllocationFree(t *testing.T) {
 		}
 	}
 	check("Session.Predict", func() { ses.Predict(w) })
-	check("Session.PredictSharded", func() { ses.PredictSharded(pool, w) })
+	check("Session.PredictCtx pooled", func() { ses.PredictCtx(context.Background(), pool, w) })
 	check("Session.PredictBatch", func() { out = ses.PredictBatch(pool, windows, out) })
 
 	// The sinks must not reintroduce allocations on the hot path.
@@ -304,5 +309,149 @@ func TestServingPredictAllocationFree(t *testing.T) {
 		SetServingMetrics(nil)
 	})
 	check("Session.Predict (metrics)", func() { ses.Predict(w) })
-	check("Session.PredictSharded (metrics)", func() { ses.PredictSharded(pool, w) })
+	check("Session.PredictCtx pooled (metrics)", func() { ses.PredictCtx(context.Background(), pool, w) })
+}
+
+// servingFixture trains a classifier with enough classes to shard and
+// snapshots it into a Serving.
+func servingFixture(t *testing.T, shards int) (*Serving, [][]float64) {
+	t.Helper()
+	cfg := Config{D: 512, Channels: 4, Levels: 10, MinLevel: 0, MaxLevel: 9, NGram: 1, Window: 1, Seed: 21}
+	c := MustNew(cfg)
+	probe := [][]float64{{1, 2, 1, 2}}
+	for cls := 0; cls < 8; cls++ {
+		w := [][]float64{{float64(cls), float64(9 - cls), float64(cls), float64(9 - cls)}}
+		for i := 0; i < 3; i++ {
+			c.Train(fmt.Sprintf("g%d", cls), w)
+		}
+	}
+	return c.Serving(shards), probe
+}
+
+// TestSerialShardLoop pins the nil-pool path of a sharded AM: the
+// shards run one by one on the caller, bit-identical to the flat scan
+// for every shard count, through Session.Predict and the pooled
+// Serving.PredictCtx alike.
+func TestSerialShardLoop(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, 8} {
+		sv, probe := servingFixture(t, shards)
+		ses := sv.NewSession()
+		ses.ctx.encodeTo(ses.ctx.query, probe, sv.cfg.NGram)
+		wantIdx, wantDist := sv.AM().NearestInto(nil, ses.ctx.query, nil)
+		wantLabel := sv.AM().Label(wantIdx)
+		label, dist := ses.Predict(probe)
+		if label != wantLabel || dist != wantDist {
+			t.Fatalf("%d shards: serial loop (%s,%d), flat scan (%s,%d)", shards, label, dist, wantLabel, wantDist)
+		}
+		label, dist, _ = sv.PredictCtx(context.Background(), probe)
+		if label != wantLabel || dist != wantDist {
+			t.Fatalf("%d shards: PredictCtx (%s,%d), flat scan (%s,%d)", shards, label, dist, wantLabel, wantDist)
+		}
+	}
+}
+
+// TestServingPredictCtx pins the pooled-session predict the HTTP edge
+// runs: it reports the generation it scanned and recycles its session,
+// and a panic inside the predict leaves that session out of the pool.
+func TestServingPredictCtx(t *testing.T) {
+	sv, probe := servingFixture(t, 4)
+	wantLabel, wantDist := sv.Predict(probe)
+	label, dist, gen := sv.PredictCtx(context.Background(), probe)
+	if label != wantLabel || dist != wantDist || gen != sv.Generation() {
+		t.Fatalf("PredictCtx (%s,%d,gen %d), want (%s,%d,gen %d)",
+			label, dist, gen, wantLabel, wantDist, sv.Generation())
+	}
+
+	// Drain the pool, then panic mid-predict: the session that panicked
+	// must not come back out of the pool.
+	ses := sv.session()
+	func() {
+		defer func() { recover() }()
+		sv.sessions.Put(ses)
+		sv.PredictCtx(context.Background(), [][]float64{{1}}) // short rows panic in encode
+	}()
+	if got, ok := sv.sessions.Get().(*Session); ok && got == ses {
+		t.Fatal("the session a panic escaped from went back into the pool")
+	}
+}
+
+// TestPredictCtxReportsScannedGeneration pins the generation
+// Serving.PredictCtx reports to the AM its own atomic load scanned,
+// under a learner publishing concurrently. The learner records the
+// published AM under each generation id; every (label, distance) a
+// reader gets must equal a flat scan of the AM recorded for the
+// generation it was told. Reporting an id read before or after the
+// predict's own load pairs the answer with a neighbouring generation,
+// whose prototypes differ. Meant for the race lane.
+func TestPredictCtxReportsScannedGeneration(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(70 + shards)))
+			cfg := servingConfig()
+			sv, err := NewServing(cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sv.Retrain(nil, syntheticSamples(cfg, 5, 20, rng)); err != nil {
+				t.Fatal(err)
+			}
+			learns := 60
+			if testing.Short() {
+				learns = 15
+			}
+			// ams[g] is the AM published as generation g; the learner
+			// is the only publisher, so Generation() right after its
+			// Learn names the AM that Learn published.
+			ams := make([]atomic.Pointer[ShardedAM], sv.Generation()+uint64(learns)+1)
+			ams[sv.Generation()].Store(sv.AM())
+
+			windows := syntheticSamples(cfg, 5, 4, rng)
+			var stop atomic.Bool
+			var predicts atomic.Int64
+			var wg sync.WaitGroup
+			defer func() {
+				stop.Store(true)
+				wg.Wait()
+			}()
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					ref := sv.NewSession()
+					for i := 0; !stop.Load(); i++ {
+						w := windows[(r+i)%len(windows)].Window
+						label, dist, gen := sv.PredictCtx(context.Background(), w)
+						predicts.Add(1)
+						if gen >= uint64(len(ams)) {
+							t.Errorf("predict reported generation %d, never published", gen)
+							return
+						}
+						am := ams[gen].Load()
+						for am == nil { // published, not yet recorded
+							runtime.Gosched()
+							am = ams[gen].Load()
+						}
+						ref.ctx.encodeTo(ref.ctx.query, w, cfg.NGram)
+						idx, want := am.NearestInto(nil, ref.ctx.query, nil)
+						if label != am.Label(idx) || dist != want {
+							t.Errorf("generation %d: predict (%s,%d), flat scan of that generation (%s,%d)",
+								gen, label, dist, am.Label(idx), want)
+							return
+						}
+					}
+				}(r)
+			}
+			for _, s := range syntheticSamples(cfg, 5, learns, rng) {
+				if err := sv.Learn(s.Label, s.Window); err != nil {
+					t.Fatal(err)
+				}
+				ams[sv.Generation()].Store(sv.AM())
+				// Let the readers scan each generation a few times
+				// before the next publication.
+				for next := predicts.Load() + 8; predicts.Load() < next && !t.Failed(); {
+					runtime.Gosched()
+				}
+			}
+		})
+	}
 }

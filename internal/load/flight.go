@@ -11,8 +11,8 @@ import (
 
 // This file is the harness side of the serving tier's flight recorder:
 // after each phase, hdload fetches /debug/flight?summary=1 and attaches
-// the phase's worst tail events — timeouts, sheds, errors, degraded
-// scans, over-SLO requests — to the phase row in BENCH_serving.json.
+// the phase's worst tail events — timeouts, sheds, errors, retries,
+// over-SLO requests — to the phase row in BENCH_serving.json.
 // A capacity regression then ships its own forensics: the report says
 // not just "p999 doubled" but which requests paid it and why.
 

@@ -3,22 +3,15 @@ package obs
 import "time"
 
 // This file defines the domain metric bundles the host packages hang
-// their instrumentation on. Each bundle is installed with the
-// package's SetMetrics (hdc, stream, parallel); the default nil
-// pointer disables recording, and every method is nil-safe so the
-// instrumented call sites stay branchless beyond one compare.
+// their instrumentation on. Each bundle is installed with hdc's
+// SetMetrics or SetServingMetrics; the default nil pointer disables
+// recording, and every method is nil-safe so the instrumented call
+// sites stay branchless beyond one compare.
 
-// InferenceMetrics instruments hdc.Predict and PredictBatch.
+// InferenceMetrics instruments hdc's Predict and PredictCtx.
 type InferenceMetrics struct {
 	// PredictNanos is Predict latency; its count is the call count.
 	PredictNanos Histogram
-	// BatchWindows counts the windows PredictBatch classified;
-	// BatchNanos is whole-call latency.
-	BatchWindows Counter
-	BatchNanos   Histogram
-	// BatchSerialFallbacks counts batch calls that ran without a
-	// worker pool (nil pool — the serial fallback path).
-	BatchSerialFallbacks Counter
 	// EncodeNanos / SearchNanos split instrumented per-request
 	// predicts into the paper's two stages — window encoding vs AM
 	// search — the per-stage lens of Table 3, per serving request.
@@ -44,69 +37,6 @@ func (m *InferenceMetrics) RecordPredict(d time.Duration) {
 	m.PredictNanos.Observe(d)
 }
 
-// RecordBatch folds one PredictBatch call over n windows into the
-// metrics; serial marks the nil-pool fallback.
-func (m *InferenceMetrics) RecordBatch(n int, serial bool, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.BatchWindows.Add(int64(n))
-	m.BatchNanos.Observe(d)
-	if serial {
-		m.BatchSerialFallbacks.Inc()
-	}
-}
-
-// StreamMetrics instruments stream.Push and Replay.
-type StreamMetrics struct {
-	// Samples counts samples pushed (directly or via Replay);
-	// Decisions counts decisions emitted.
-	Samples   Counter
-	Decisions Counter
-	// ReplayNanos is Replay call latency.
-	ReplayNanos Histogram
-	// PredictFailures counts pushed windows whose prediction panicked
-	// (e.g. a serving model with no classes yet) and were dropped
-	// instead of killing the stream.
-	PredictFailures Counter
-}
-
-// RecordSample counts one pushed sample.
-func (m *StreamMetrics) RecordSample() {
-	if m == nil {
-		return
-	}
-	m.Samples.Inc()
-}
-
-// RecordDecision counts one emitted decision.
-func (m *StreamMetrics) RecordDecision() {
-	if m == nil {
-		return
-	}
-	m.Decisions.Inc()
-}
-
-// RecordReplay folds one Replay call (samples consumed, decisions
-// emitted, wall time) into the metrics.
-func (m *StreamMetrics) RecordReplay(samples, decisions int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Samples.Add(int64(samples))
-	m.Decisions.Add(int64(decisions))
-	m.ReplayNanos.Observe(d)
-}
-
-// RecordPredictFailure counts one dropped decision whose prediction
-// panicked.
-func (m *StreamMetrics) RecordPredictFailure() {
-	if m == nil {
-		return
-	}
-	m.PredictFailures.Inc()
-}
-
 // ServingMetrics instruments the online-learning serving layer: the
 // copy-on-write model generations of hdc.Serving and the requests of
 // the /predict–/learn HTTP front end. The published model's own state
@@ -128,9 +58,6 @@ type ServingMetrics struct {
 	// PanicsRecovered counts predict panics converted into retries or
 	// 500 responses instead of process death.
 	PanicsRecovered Counter
-	// DegradedScans counts predicts that lost a shard mid-search and
-	// fell back to the flat associative-memory scan.
-	DegradedScans Counter
 }
 
 // RecordTimeout counts one predict request that hit its deadline.
@@ -158,14 +85,6 @@ func (m *ServingMetrics) RecordPanicRecovered() {
 	m.PanicsRecovered.Inc()
 }
 
-// RecordDegraded counts one flat-scan fallback after a shard failure.
-func (m *ServingMetrics) RecordDegraded() {
-	if m == nil {
-		return
-	}
-	m.DegradedScans.Inc()
-}
-
 // RecordPublish folds one generation publication that took d into
 // the metrics.
 func (m *ServingMetrics) RecordPublish(d time.Duration) {
@@ -185,51 +104,5 @@ func (m *ServingMetrics) RecordRequest(accepted bool) {
 	m.Requests.Inc()
 	if !accepted {
 		m.Rejected.Inc()
-	}
-}
-
-// FaultMetrics instruments the fault-injection layer (internal/fault):
-// how many corruption calls ran and how many bits they flipped.
-type FaultMetrics struct {
-	// Injections counts corruption calls that had injection enabled
-	// (BER > 0); FlippedBits counts the bits they actually flipped.
-	Injections  Counter
-	FlippedBits Counter
-}
-
-// RecordInjection folds one corruption call that flipped n bits.
-func (m *FaultMetrics) RecordInjection(n int) {
-	if m == nil {
-		return
-	}
-	m.Injections.Inc()
-	m.FlippedBits.Add(int64(n))
-}
-
-// PoolMetrics instruments parallel.Pool collectives.
-type PoolMetrics struct {
-	// Collectives counts collective calls; Tasks counts the chunks
-	// they actually dispatched (including the caller's chunk 0) and
-	// Slots the chunks they could have dispatched (pool width), so
-	// Tasks/Slots is the mean worker utilization.
-	Collectives Counter
-	Tasks       Counter
-	Slots       Counter
-	// SerialFallbacks counts collectives that ran entirely on the
-	// calling goroutine (single chunk, or a closed pool).
-	SerialFallbacks Counter
-}
-
-// RecordCollective folds one collective that ran active of workers
-// possible chunks into the metrics.
-func (m *PoolMetrics) RecordCollective(active, workers int) {
-	if m == nil {
-		return
-	}
-	m.Collectives.Inc()
-	m.Tasks.Add(int64(active))
-	m.Slots.Add(int64(workers))
-	if active <= 1 {
-		m.SerialFallbacks.Inc()
 	}
 }

@@ -2,13 +2,13 @@
 // fixed-size ring of recently captured tail-event request timelines.
 // The serving path runs with span recording on for every request (the
 // obs.Timelines slab); when a request ends badly — timeout, error,
-// shed after waiting, panic retry, degraded-shard fallback — or
-// slower than its model's latency objective, its full span timeline
-// is copied into the ring before the recorder is recycled. The ring
-// is therefore a black box that always holds the last N incidents
-// with handler→queue→batch→shard detail, model name and generation,
-// dumpable as Chrome trace JSON (GET /debug/flight) and written to
-// disk automatically on an SLO burn-rate breach.
+// shed, panic retry — or slower than its model's latency objective,
+// its full span timeline is copied into the ring before the recorder
+// is recycled. The ring is therefore a black box that always holds
+// the last N incidents with request→decode→predict→search detail,
+// model name and generation, dumpable as Chrome trace JSON (GET
+// /debug/flight) and written to disk automatically on an SLO
+// burn-rate breach.
 //
 // Capture copies into preallocated slots under one short mutex: no
 // allocation once the ring is warm, no ownership games with the
@@ -42,9 +42,6 @@ const (
 	// TrigRetry marks a request that needed at least one predict retry
 	// after a recovered panic.
 	TrigRetry
-	// TrigDegraded marks a predict that fell back to the flat AM scan
-	// after a shard failure.
-	TrigDegraded
 	// TrigSlow marks a request slower than its model's latency
 	// objective.
 	TrigSlow
@@ -59,7 +56,6 @@ var triggerNames = []struct {
 	{TrigError, "error"},
 	{TrigShed, "shed"},
 	{TrigRetry, "retry"},
-	{TrigDegraded, "degraded"},
 	{TrigSlow, "slow"},
 }
 

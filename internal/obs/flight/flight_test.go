@@ -26,11 +26,11 @@ func testRec(id uint64, spans int) *obs.Spans {
 
 func TestTriggerString(t *testing.T) {
 	cases := map[Trigger]string{
-		0:                        "none",
-		TrigTimeout:              "timeout",
-		TrigRetry | TrigTimeout:  "timeout|retry",
-		TrigError | TrigDegraded: "error|degraded",
-		TrigShed | TrigSlow:      "shed|slow",
+		0:                       "none",
+		TrigTimeout:             "timeout",
+		TrigRetry | TrigTimeout: "timeout|retry",
+		TrigError | TrigRetry:   "error|retry",
+		TrigShed | TrigSlow:     "shed|slow",
 	}
 	for trig, want := range cases {
 		if got := trig.String(); got != want {
@@ -137,7 +137,7 @@ func TestSpanOverflowCounted(t *testing.T) {
 func TestWriteSummaryJSON(t *testing.T) {
 	r := NewRing(4, 8)
 	r.now = func() int64 { return 99 }
-	r.Capture(testRec(7, 2), "emg", 3, TrigDegraded|TrigSlow, 42*time.Millisecond)
+	r.Capture(testRec(7, 2), "emg", 3, TrigRetry|TrigSlow, 42*time.Millisecond)
 	var buf bytes.Buffer
 	if err := r.WriteSummary(&buf, ""); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestWriteSummaryJSON(t *testing.T) {
 	}
 	s := doc.Entries[0]
 	if s.Request != 7 || s.Model != "emg" || s.Generation != 3 ||
-		s.Trigger != "degraded|slow" || s.DurationMs != 42 || s.Spans != 3 {
+		s.Trigger != "retry|slow" || s.DurationMs != 42 || s.Spans != 3 {
 		t.Fatalf("summary entry %+v", s)
 	}
 	// An empty ring writes entries:[] (not null) for easy clients.

@@ -25,13 +25,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var im *InferenceMetrics
 	im.RecordPredict(time.Millisecond)
-	im.RecordBatch(10, true, time.Millisecond)
-	var sm *StreamMetrics
-	sm.RecordSample()
-	sm.RecordDecision()
-	sm.RecordReplay(100, 20, time.Millisecond)
-	var pm *PoolMetrics
-	pm.RecordCollective(4, 4)
+	im.RecordStages(time.Millisecond, time.Millisecond)
 	var g *Gauge
 	g.Set(7)
 	g.Add(1)
@@ -167,30 +161,13 @@ func TestHistogramBuckets(t *testing.T) {
 // into live metrics allocates nothing.
 func TestObserveAllocationFree(t *testing.T) {
 	h := NewHostMetrics()
-	var sm StreamMetrics
-	var pm PoolMetrics
 	allocs := testing.AllocsPerRun(100, func() {
 		h.Inference.RecordPredict(1500 * time.Nanosecond)
-		h.Inference.RecordBatch(64, false, time.Millisecond)
-		sm.RecordSample()
-		sm.RecordDecision()
-		pm.RecordCollective(4, 4)
+		h.Inference.RecordStages(time.Microsecond, time.Microsecond)
+		h.Serving.RecordRequest(true)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording allocates %v times per run, want 0", allocs)
-	}
-}
-
-func TestPoolUtilization(t *testing.T) {
-	var pm PoolMetrics
-	pm.RecordCollective(4, 4)
-	pm.RecordCollective(2, 4)
-	pm.RecordCollective(1, 4) // serial fallback
-	if pm.Collectives.Value() != 3 || pm.Tasks.Value() != 7 || pm.Slots.Value() != 12 {
-		t.Fatalf("collectives/tasks/slots = %d/%d/%d", pm.Collectives.Value(), pm.Tasks.Value(), pm.Slots.Value())
-	}
-	if pm.SerialFallbacks.Value() != 1 {
-		t.Fatalf("serial fallbacks %d, want 1", pm.SerialFallbacks.Value())
 	}
 }
 

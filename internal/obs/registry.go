@@ -352,16 +352,13 @@ func (r *Registry) sortedNames() []string {
 	return names
 }
 
-// HostMetrics bundles one metrics instance per instrumented host
-// package, registered under the canonical pulphd_* names (documented
-// in DESIGN.md §8). Wire it with hdc.SetMetrics(h.Inference) and
-// hdc.SetServingMetrics(h.Serving). Only what `pulphd serve` feeds is
-// registered: the batched-inference fields of InferenceMetrics, and the
-// stream and worker-pool bundles, serve in-process callers only.
+// HostMetrics bundles the metrics `pulphd serve` feeds, registered
+// under the canonical pulphd_* names (documented in DESIGN.md §8).
+// Wire it with hdc.SetMetrics(h.Inference) and
+// hdc.SetServingMetrics(h.Serving).
 type HostMetrics struct {
 	Inference *InferenceMetrics
 	Serving   *ServingMetrics
-	Fault     *FaultMetrics
 	// Models is the multi-tenant model-registry bundle (fleet gauges
 	// plus the per-model pulphd_model_* families); hand it to
 	// registry.Config.Metrics.
@@ -374,7 +371,6 @@ func NewHostMetrics() *HostMetrics {
 	h := &HostMetrics{
 		Inference: &InferenceMetrics{},
 		Serving:   &ServingMetrics{},
-		Fault:     &FaultMetrics{},
 		Models:    NewRegistryMetrics(),
 		Registry:  NewRegistry(),
 	}
@@ -388,9 +384,6 @@ func NewHostMetrics() *HostMetrics {
 	r.RegisterCounter("pulphd_serving_timeouts_total", "/predict requests answered 504 at their deadline", &h.Serving.Timeouts)
 	r.RegisterCounter("pulphd_serving_retries_total", "predict attempts retried after a recovered panic", &h.Serving.Retries)
 	r.RegisterCounter("pulphd_serving_panics_recovered_total", "predict panics recovered into a retry or a 500 response", &h.Serving.PanicsRecovered)
-	r.RegisterCounter("pulphd_serving_degraded_scans_total", "predicts that fell back to the flat AM scan after a shard failure", &h.Serving.DegradedScans)
-	r.RegisterCounter("pulphd_fault_injections_total", "fault-injection corruption calls with BER > 0", &h.Fault.Injections)
-	r.RegisterCounter("pulphd_fault_flipped_bits_total", "bits flipped by fault injection", &h.Fault.FlippedBits)
 	r.RegisterGauge("pulphd_registry_models", "models registered in the model registry", &h.Models.Models)
 	r.RegisterGauge("pulphd_registry_resident_models", "registry models currently resident in memory", &h.Models.ResidentModels)
 	r.RegisterGauge("pulphd_registry_resident_bytes", "summed resident footprint of in-memory registry models in bytes", &h.Models.ResidentBytes)

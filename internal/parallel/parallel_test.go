@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pulphd/internal/hv"
-	"pulphd/internal/obs"
 )
 
 var testDims = []int{33, 313, 1000, 10000}
@@ -280,6 +279,12 @@ func TestCollectivesAllocationFree(t *testing.T) {
 	}
 	p := NewPool(4)
 	defer p.Close()
+	visits := make([]int64, 256)
+	each := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			visits[i]++ // chunks are disjoint: no two workers share an index
+		}
+	}
 	// Warm up the lazily-grown per-worker scratch.
 	p.Hamming(a, b)
 	p.Majority(dst, set)
@@ -289,35 +294,10 @@ func TestCollectivesAllocationFree(t *testing.T) {
 		"Xor":      func() { p.Xor(dst, a, b) },
 		"Majority": func() { p.Majority(dst, set) },
 		"AMSearch": func() { p.AMSearch(a, set) },
+		"ForRange": func() { p.ForRange(len(visits), each) },
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-}
-
-// TestForRangeAllocationFreeWithMetrics pins that the collective
-// instrumentation costs ForRange nothing on the heap, with the
-// metrics sink installed and without.
-func TestForRangeAllocationFreeWithMetrics(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	sink := make([]int64, 256)
-	fn := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sink[i]++ // chunks are disjoint: no two workers share an index
-		}
-	}
-	p.ForRange(256, fn)
-	for _, enabled := range []bool{false, true} {
-		if enabled {
-			SetMetrics(&obs.PoolMetrics{})
-		} else {
-			SetMetrics(nil)
-		}
-		if allocs := testing.AllocsPerRun(50, func() { p.ForRange(256, fn) }); allocs != 0 {
-			t.Errorf("metrics enabled=%v: ForRange %v allocs/op, want 0", enabled, allocs)
-		}
-	}
-	SetMetrics(nil)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pulphd/internal/hdc"
-	"pulphd/internal/obs"
 )
 
 // flakyPredictor panics on chosen prediction calls and otherwise
@@ -27,13 +26,9 @@ func (f *flakyPredictor) Predict(window [][]float64) (string, int) {
 }
 
 // TestPushSurvivesPredictorPanic pins the streaming hardening: a
-// predictor panic drops that decision and counts a failure, and the
-// very next detection period classifies normally.
+// predictor panic drops that decision, and the very next detection
+// period classifies normally.
 func TestPushSurvivesPredictorPanic(t *testing.T) {
-	m := &obs.StreamMetrics{}
-	SetMetrics(m)
-	defer SetMetrics(nil)
-
 	cfg := hdc.EMGConfig()
 	pred := &flakyPredictor{cfg: cfg, failOn: map[int]bool{1: true}}
 	s, err := New(pred, Config{DetectionStride: 1, SmoothWindow: 1})
@@ -54,22 +49,12 @@ func TestPushSurvivesPredictorPanic(t *testing.T) {
 	if emitted != 3 {
 		t.Fatalf("%d decisions from 4 pushes with one panic, want 3", emitted)
 	}
-	if m.PredictFailures.Value() != 1 {
-		t.Fatalf("predict failures %d, want 1", m.PredictFailures.Value())
-	}
-	if m.Decisions.Value() != 3 {
-		t.Fatalf("decisions counter %d, want 3", m.Decisions.Value())
-	}
 }
 
 // TestReplaySurvivesPredictorPanic pins the replay path for plain
 // Predictors: failing windows are dropped from the output, surviving
-// ones keep their trigger sample indices, and the failure is counted.
+// ones keep their decision values.
 func TestReplaySurvivesPredictorPanic(t *testing.T) {
-	m := &obs.StreamMetrics{}
-	SetMetrics(m)
-	defer SetMetrics(nil)
-
 	cfg := hdc.EMGConfig()
 	pred := &flakyPredictor{cfg: cfg, failOn: map[int]bool{0: true, 2: true}}
 	s, err := New(pred, Config{DetectionStride: 1, SmoothWindow: 1})
@@ -90,20 +75,13 @@ func TestReplaySurvivesPredictorPanic(t *testing.T) {
 			t.Fatalf("surviving decision %+v", d)
 		}
 	}
-	if m.PredictFailures.Value() != 2 {
-		t.Fatalf("predict failures %d, want 2", m.PredictFailures.Value())
-	}
 }
 
 // TestBatchPredictRecoversPanic pins the recover in the batched replay
 // engine: a collective that panics (here: a malformed window reaching
-// encode) comes back as ok=false with the failure counted, so replay
-// can retry serially instead of crashing.
+// encode) comes back as ok=false, so replay can retry serially
+// instead of crashing.
 func TestBatchPredictRecoversPanic(t *testing.T) {
-	m := &obs.StreamMetrics{}
-	SetMetrics(m)
-	defer SetMetrics(nil)
-
 	cls := trainedClassifier(t, 1)
 	s, err := New(cls, Config{DetectionStride: 1, SmoothWindow: 1})
 	if err != nil {
@@ -112,9 +90,6 @@ func TestBatchPredictRecoversPanic(t *testing.T) {
 	preds, ok := s.batchPredict([][][]float64{{{1}}}, nil) // short row panics encode
 	if ok || preds != nil {
 		t.Fatalf("poisoned batch returned ok=%v preds=%v", ok, preds)
-	}
-	if m.PredictFailures.Value() != 1 {
-		t.Fatalf("predict failures %d, want 1", m.PredictFailures.Value())
 	}
 
 	// The healthy batch path is untouched.
